@@ -41,7 +41,11 @@ def test_ablation_opportunistic_boost(benchmark, exact_apu, suite):
         t_base = exact_apu.true_time_s(k, TOP)
         t_boost = boosted.true_time_s(k, TOP)
         speedups.append(t_base / t_boost)
-        out = boosted._boost_outcome(k.characteristics, TOP)
+        # The duty cycle depends only on the un-boosted power's thermal
+        # headroom, not on the kernel's compute share.
+        out = boosted.boost.evaluate(
+            exact_apu.true_total_power_w(k, TOP), TOP.n_threads, 1.0
+        )
         duties.append(out.duty_cycle)
         power_deltas.append(
             boosted.true_total_power_w(k, TOP) - exact_apu.true_total_power_w(k, TOP)

@@ -11,9 +11,9 @@ replaces that silicon with an analytical simulator (see DESIGN.md §2 and
   (device × frequency × threads);
 * :mod:`~repro.hardware.kernelmodel` — latent kernel characteristics and
   the ground-truth timing model (Amdahl × roofline on the CPU, offload +
-  launch overhead on the GPU);
+  launch overhead on the GPU), vectorized over configuration rows;
 * :mod:`~repro.hardware.power` — two-plane power model (CPU cores;
-  northbridge + GPU) with a shared CPU voltage plane;
+  northbridge + GPU) with a shared CPU voltage plane, vectorized likewise;
 * :mod:`~repro.hardware.counters` — performance-counter synthesis;
 * :mod:`~repro.hardware.noise` — measurement-noise models;
 * :mod:`~repro.hardware.apu` — the :class:`TrinityAPU` facade separating
@@ -26,7 +26,7 @@ from repro.hardware.config import Configuration, ConfigSpace, Device
 from repro.hardware.counters import COUNTER_NAMES, synthesize_counters
 from repro.hardware.kernelmodel import KernelCharacteristics
 from repro.hardware.noise import NoiseModel
-from repro.hardware.power import PowerBreakdown, PowerModelConstants, power_w
+from repro.hardware.power import PowerBreakdown, PowerModelConstants
 from repro.hardware.pstates import (
     CPU_FREQS_GHZ,
     CPU_MAX_FREQ_GHZ,
@@ -62,6 +62,5 @@ __all__ = [
     "PowerBreakdown",
     "PowerModelConstants",
     "TrinityAPU",
-    "power_w",
     "synthesize_counters",
 ]

@@ -14,7 +14,11 @@ counters together.
 
 Measurements report the two power domains separately (CPU cores;
 northbridge + GPU), just like the Trinity system-management
-microcontroller.
+microcontroller.  Both views come from
+:class:`~repro.hardware.backend.AnalyticalBackend`; this module supplies
+only the machine's physics (:func:`~repro.hardware.kernelmodel.time_s`
+and :func:`~repro.hardware.power.plane_power_w`) and the optional
+opportunistic boost.
 """
 
 from __future__ import annotations
@@ -24,87 +28,26 @@ import numpy as np
 from repro.hardware import pstates
 from repro.hardware.backend import (
     TRINITY_DESCRIPTOR,
-    HardwareBackend,
+    AnalyticalBackend,
     Measurement,
     register_backend,
 )
-from repro.hardware.batch import batch_true_rate_power
-from repro.hardware.config import Configuration, ConfigSpace, Device
-from repro.hardware.counters import synthesize_counters
 from repro.hardware.kernelmodel import (
     KernelCharacteristics,
     amdahl_speedup,
     memory_bandwidth_factor,
-    true_time_s,
+    time_s,
 )
 from repro.hardware.noise import NoiseModel
-from repro.hardware.power import PowerBreakdown, PowerModelConstants, power_w
+from repro.hardware.power import PowerModelConstants, plane_power_w
 from repro.hardware.thermal import BoostPolicy
-from repro.telemetry import counter, gauge
 
 # Measurement moved to repro.hardware.backend with the interface
 # extraction; re-exported here for compatibility.
 __all__ = ["Measurement", "TrinityAPU"]
 
 
-# Process-wide ground-truth caches.  With boost off, ground truth is a
-# pure function of (characteristics, config) given the power constants,
-# and the noisy-measurement template additionally depends only on the
-# noise model — so every TrinityAPU with equal constants shares one set
-# of memo dicts.  run_loocv and the evaluation harness build fresh
-# machines constantly (fresh noise streams, same physics); sharing keeps
-# repeated runs from re-deriving identical truths.  Keyspace is bounded:
-# kernels-in-process x 42 configurations.
-_TRUTH_CACHES: dict[PowerModelConstants, tuple[dict, dict, dict]] = {}
-_TRUTH_TABLE_CACHES: dict[PowerModelConstants, dict] = {}
-_TEMPLATE_CACHES: dict[tuple[PowerModelConstants, NoiseModel], dict] = {}
-
-# Hit/miss accounting for the two memo families this module owns (see
-# docs/OBSERVABILITY.md).  Instruments are fetched once here; their
-# .inc() is a flag check when telemetry is disabled.
-_TT_HITS = counter("cache.truth_table.hits")
-_TT_MISSES = counter("cache.truth_table.misses")
-_TT_SIZE = gauge("cache.truth_table.size")
-_TPL_HITS = counter("cache.measurement_template.hits")
-_TPL_MISSES = counter("cache.measurement_template.misses")
-_TPL_SIZE = gauge("cache.measurement_template.size")
-
-
-def _truth_caches(
-    constants: PowerModelConstants,
-) -> tuple[dict, dict, dict]:
-    caches = _TRUTH_CACHES.get(constants)
-    if caches is None:
-        caches = ({}, {}, {})
-        _TRUTH_CACHES[constants] = caches
-    return caches
-
-
-def _template_cache(
-    constants: PowerModelConstants, noise: NoiseModel
-) -> dict:
-    cache = _TEMPLATE_CACHES.get((constants, noise))
-    if cache is None:
-        cache = {}
-        _TEMPLATE_CACHES[(constants, noise)] = cache
-    return cache
-
-
-def _characteristics(kernel: object) -> KernelCharacteristics:
-    """Accept either raw characteristics or any object exposing them via
-    a ``characteristics`` attribute (e.g. :class:`repro.workloads.Kernel`)."""
-    if isinstance(kernel, KernelCharacteristics):
-        return kernel
-    chars = getattr(kernel, "characteristics", None)
-    if isinstance(chars, KernelCharacteristics):
-        return chars
-    raise TypeError(
-        f"expected KernelCharacteristics or an object with a "
-        f".characteristics attribute, got {type(kernel).__name__}"
-    )
-
-
-class TrinityAPU(HardwareBackend):
+class TrinityAPU(AnalyticalBackend):
     """Simulated AMD Trinity A10-5800K APU (registered as ``"trinity"``).
 
     Parameters
@@ -122,7 +65,8 @@ class TrinityAPU(HardwareBackend):
         VI; off by default, matching the paper's evaluated machine).
         When enabled, CPU configurations at the top software P-state
         boost toward the policy's frequency whenever thermal headroom
-        allows.
+        allows.  The policy is frozen and its evaluation pure, so
+        boosted truth is memoized like any other (keyed by the policy).
     """
 
     name = "trinity"
@@ -137,336 +81,54 @@ class TrinityAPU(HardwareBackend):
         seed: int = 0,
         boost: BoostPolicy | None = None,
     ) -> None:
-        self.noise = noise if noise is not None else NoiseModel()
-        self.power_constants = (
-            power_constants if power_constants is not None else PowerModelConstants()
-        )
+        # Set before the base binds its memos: boost is part of the
+        # machine's physics key.
         self.boost = boost
-        self.config_space = ConfigSpace()
-        self._rng = np.random.default_rng(seed)
-        # Optional fault injector (repro.faults): when attached, every
-        # measured run passes through it — ground truth is unaffected.
-        self.fault_injector = None
-        # Ground truth is a pure function of (characteristics, config)
-        # when boost is off, and the evaluation protocol revisits the
-        # same pairs constantly (oracle frontiers, limiter traces), so
-        # memoize it — process-wide, shared by every machine with equal
-        # power constants.  Boost may carry thermal state, so it
-        # bypasses the caches.
-        self._time_cache: dict[tuple[KernelCharacteristics, Configuration], float]
-        self._power_cache: dict[
-            tuple[KernelCharacteristics, Configuration], PowerBreakdown
-        ]
-        self._time_cache, self._power_cache, self._counter_cache = _truth_caches(
-            self.power_constants
-        )
-        # Fused measurement templates: (counter names, ground-truth
-        # vector [t, cpu_w, nbgpu_w, counters...], lognormal mean/sigma
-        # vectors) per (characteristics, config).  Lets :meth:`run`
-        # replace three cache lookups and four RNG calls with one lookup
-        # and one vectorized draw.  Only valid when every noise axis is
-        # nonzero (a zero axis skips its draw in the scalar path, so the
-        # fused draw would desynchronize the stream) — ``_noise_mode``
-        # records which regime applies.
-        self._meas_cache: dict[
-            tuple[KernelCharacteristics, Configuration],
-            tuple[tuple[str, ...], float, float, float, np.ndarray],
-        ] = _template_cache(self.power_constants, self.noise)
-        rels = (self.noise.time_rel, self.noise.power_rel, self.noise.counter_rel)
-        if all(r > 0.0 for r in rels):
-            self._noise_mode = "vector"
-        elif all(r == 0.0 for r in rels):
-            self._noise_mode = "exact"
-        else:
-            self._noise_mode = "scalar"
-        # Lognormal parameters of each noise axis, precomputed exactly as
-        # NoiseModel._scale computes them (python-float arithmetic).
-        self._ln_time = (-0.5 * rels[0] * rels[0], rels[0])
-        self._ln_power = (-0.5 * rels[1] * rels[1], rels[1])
-        self._ln_counter = (-0.5 * rels[2] * rels[2], rels[2])
-
-    # -- opportunistic boost (Section VI extension) ----------------------------
-
-    def _boost_applies(self, cfg: Configuration) -> bool:
-        return (
-            self.boost is not None
-            and cfg.device is Device.CPU
-            and abs(cfg.cpu_freq_ghz - pstates.CPU_MAX_FREQ_GHZ) < 1e-9
+        super().__init__(
+            TRINITY_DESCRIPTOR,
+            power_constants if power_constants is not None else PowerModelConstants(),
+            noise=noise,
+            seed=seed,
         )
 
-    def _boost_outcome(self, chars: KernelCharacteristics, cfg: Configuration):
-        base_power = power_w(chars, cfg, self.power_constants).total_w
-        # Frequency-sensitive share of runtime at the top P-state.
-        compute = (1.0 - chars.mem_fraction) / amdahl_speedup(
-            cfg.n_threads, chars.parallel_fraction
-        )
-        memory = chars.mem_fraction / memory_bandwidth_factor(cfg.n_threads)
-        compute_fraction = compute / (compute + memory) if compute + memory else 0.0
-        return self.boost.evaluate(base_power, cfg.n_threads, compute_fraction)
+    # perfbench's tracer patches these names in each class's own __dict__.
+    run = AnalyticalBackend.run
+    true_table = AnalyticalBackend.true_table
 
-    # -- ground truth (oracle-only) ------------------------------------------
-
-    def true_time_s(self, kernel: object, cfg: Configuration) -> float:
-        """Deterministic execution time (seconds) of one invocation."""
-        chars = _characteristics(kernel)
-        if self.boost is None:
-            t = self._time_cache.get((chars, cfg))
-            if t is None:
-                t = true_time_s(chars, cfg)
-                self._time_cache[(chars, cfg)] = t
-            return t
-        t = true_time_s(chars, cfg)
-        if self._boost_applies(cfg):
-            t *= self._boost_outcome(chars, cfg).time_scale
-        return t
-
-    def true_power(self, kernel: object, cfg: Configuration) -> PowerBreakdown:
-        """Deterministic per-plane average power."""
-        chars = _characteristics(kernel)
-        if self.boost is None:
-            pb = self._power_cache.get((chars, cfg))
-            if pb is None:
-                pb = power_w(chars, cfg, self.power_constants)
-                self._power_cache[(chars, cfg)] = pb
-            return pb
-        pb = power_w(chars, cfg, self.power_constants)
-        if self._boost_applies(cfg):
-            delta = self._boost_outcome(chars, cfg).power_delta_w
-            pb = PowerBreakdown(
-                cpu_plane_w=pb.cpu_plane_w + delta,
-                nbgpu_plane_w=pb.nbgpu_plane_w,
-            )
-        return pb
-
-    def true_total_power_w(self, kernel: object, cfg: Configuration) -> float:
-        """Deterministic whole-chip average power (watts)."""
-        return self.true_power(kernel, cfg).total_w
-
-    def true_performance(self, kernel: object, cfg: Configuration) -> float:
-        """Deterministic throughput (invocations per second)."""
-        return 1.0 / self.true_time_s(kernel, cfg)
-
-    def true_table(
-        self, kernel: object
-    ) -> dict[Configuration, tuple[float, float]]:
-        """Per-configuration ground truth ``{config: (total power W,
-        performance)}`` over the whole space, memoized process-wide.
-
-        The evaluation harness judges every decision against ground
-        truth; one dict lookup per record beats two memoized calls.
-        Falls back to an uncached build when boost is enabled (thermal
-        state may make truth impure).
-        """
-        chars = _characteristics(kernel)
-        if self.boost is None:
-            tables = _TRUTH_TABLE_CACHES.get(self.power_constants)
-            if tables is None:
-                tables = {}
-                _TRUTH_TABLE_CACHES[self.power_constants] = tables
-            table = tables.get(chars)
-            if table is None:
-                _TT_MISSES.inc()
-                table = self._build_true_table(chars)
-                tables[chars] = table
-                _TT_SIZE.set(len(tables))
-            else:
-                _TT_HITS.inc()
-            return table
-        return self._build_true_table(chars)
-
-    def _build_true_table(
-        self, chars: KernelCharacteristics
-    ) -> dict[Configuration, tuple[float, float]]:
-        return {
-            cfg: (
-                self.true_power(chars, cfg).total_w,
-                1.0 / self.true_time_s(chars, cfg),
-            )
-            for cfg in self.config_space
-        }
-
-    # -- fault injection (repro.faults) ----------------------------------------
-
-    def inject_faults(self, faults) -> object | None:
-        """Attach (or detach, with ``None``) a fault plan to the machine.
-
-        ``faults`` may be a :class:`repro.faults.FaultPlan` or an
-        existing :class:`repro.faults.FaultInjector` (to share one run
-        clock across machines).  Returns the active injector.  Only
-        *measured* runs are perturbed; ground truth stays exact, so
-        oracle baselines and harness judgments are unaffected.
-        """
-        if faults is None:
-            self.fault_injector = None
-            return None
-        from repro.faults import FaultInjector, FaultPlan
-
-        if isinstance(faults, FaultInjector):
-            self.fault_injector = faults
-        elif isinstance(faults, FaultPlan):
-            self.fault_injector = FaultInjector(faults)
-        else:
-            raise TypeError(
-                f"expected FaultPlan or FaultInjector, got {type(faults).__name__}"
-            )
-        return self.fault_injector
-
-    # -- measurement -----------------------------------------------------------
-
-    def run(
+    def _planes(
         self,
-        kernel: object,
-        cfg: Configuration,
-        *,
-        rng: np.random.Generator | None = None,
-    ) -> Measurement:
-        """Execute one kernel invocation and return a noisy measurement.
-
-        With a fault injector attached (:meth:`inject_faults`), the run
-        first passes through :meth:`repro.faults.FaultInjector.begin_run`
-        — which may raise :class:`repro.faults.SampleRunError` or
-        substitute the executed P-state — and the readings through the
-        run's sensor faults.
-
-        Parameters
-        ----------
-        kernel:
-            :class:`KernelCharacteristics` or an object carrying them.
-        cfg:
-            Configuration to run on (must be in the machine's space).
-        rng:
-            Optional generator for the measurement noise; defaults to the
-            machine's internal stream.
-        """
-        inj = self.fault_injector
-        if inj is None:
-            return self._run_clean(kernel, cfg, rng=rng)
-        ctx = inj.begin_run(cfg)
-        return ctx.apply(self._run_clean(kernel, ctx.config, rng=rng))
-
-    def _run_clean(
-        self,
-        kernel: object,
-        cfg: Configuration,
-        *,
-        rng: np.random.Generator | None = None,
-    ) -> Measurement:
-        """The fault-free measurement path (ground truth + noise)."""
-        chars = _characteristics(kernel)
-
-        if self.boost is None and self._noise_mode != "scalar":
-            tpl = self._meas_cache.get((chars, cfg))
-            if tpl is None:
-                _TPL_MISSES.inc()
-                if cfg not in self.config_space:
-                    raise ValueError(
-                        f"{cfg} is not a valid configuration for this machine"
-                    )
-                tpl = self._measurement_template(chars, cfg)
-                self._meas_cache[(chars, cfg)] = tpl
-                _TPL_SIZE.set(len(self._meas_cache))
-            else:
-                _TPL_HITS.inc()
-            names, t_true, cpu_true, nbgpu_true, counter_vals = tpl
-            if self._noise_mode == "vector":
-                # Same draw sequence as the legacy scalar path — one time
-                # draw, two power draws (a size-2 call consumes the
-                # stream exactly like two scalar calls), then the counter
-                # block — so measurements are bit-identical.
-                r = rng if rng is not None else self._rng
-                mt, st = self._ln_time
-                t = t_true * r.lognormal(mean=mt, sigma=st)
-                mp, sp = self._ln_power
-                pw = r.lognormal(mean=mp, sigma=sp, size=2)
-                mc, sc = self._ln_counter
-                factors = r.lognormal(mean=mc, sigma=sc, size=counter_vals.size)
-                return Measurement(
-                    config=cfg,
-                    time_s=float(t),
-                    cpu_plane_w=float(cpu_true * pw[0]),
-                    nbgpu_plane_w=float(nbgpu_true * pw[1]),
-                    counters=dict(zip(names, (counter_vals * factors).tolist())),
-                )
-            # exact: measurements equal ground truth, no draws
-            return Measurement(
-                config=cfg,
-                time_s=t_true,
-                cpu_plane_w=cpu_true,
-                nbgpu_plane_w=nbgpu_true,
-                counters=dict(zip(names, counter_vals.tolist())),
-            )
-
-        if cfg not in self.config_space:
-            raise ValueError(f"{cfg} is not a valid configuration for this machine")
-        r = rng if rng is not None else self._rng
-        t = self.noise.perturb_time(self.true_time_s(chars, cfg), r)
-        pb = self.true_power(chars, cfg)
-        cpu_w = self.noise.perturb_power(pb.cpu_plane_w, r)
-        nbgpu_w = self.noise.perturb_power(pb.nbgpu_plane_w, r)
-        true_counters = self._counter_cache.get((chars, cfg))
-        if true_counters is None:
-            true_counters = synthesize_counters(chars, cfg)
-            self._counter_cache[(chars, cfg)] = true_counters
-        counters = self.noise.perturb_counters(true_counters, r)
-        return Measurement(
-            config=cfg,
-            time_s=t,
-            cpu_plane_w=cpu_w,
-            nbgpu_plane_w=nbgpu_w,
-            counters=counters,
-        )
-
-    def _measurement_template(
-        self, chars: KernelCharacteristics, cfg: Configuration
-    ) -> tuple[tuple[str, ...], float, float, float, np.ndarray]:
-        """Build the fused ground-truth template for one pair."""
-        t = self.true_time_s(chars, cfg)
-        pb = self.true_power(chars, cfg)
-        true_counters = self._counter_cache.get((chars, cfg))
-        if true_counters is None:
-            true_counters = synthesize_counters(chars, cfg)
-            self._counter_cache[(chars, cfg)] = true_counters
-        counter_vals = np.array(list(true_counters.values()))
-        counter_vals.setflags(write=False)
-        return (
-            tuple(true_counters),
-            t,
-            pb.cpu_plane_w,
-            pb.nbgpu_plane_w,
-            counter_vals,
-        )
-
-    def run_all_configs(
-        self,
-        kernel: object,
-        *,
-        rng: np.random.Generator | None = None,
-    ) -> list[Measurement]:
-        """Measure a kernel on every configuration (the paper's offline
-        exhaustive characterization of training kernels)."""
-        return [self.run(kernel, cfg, rng=rng) for cfg in self.config_space]
-
-    # -- batch evaluation ------------------------------------------------------
-
-    def batch_rate_power(
-        self,
-        kernel: object,
+        chars: KernelCharacteristics,
         is_gpu: np.ndarray,
         cpu_freq_ghz: np.ndarray,
         n_threads: np.ndarray,
         gpu_freq_ghz: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized ground truth via :mod:`repro.hardware.batch`
-        (bit-identical to the scalar calls; boost is not modeled on the
-        batch path)."""
-        return batch_true_rate_power(
-            _characteristics(kernel),
-            is_gpu,
-            cpu_freq_ghz,
-            n_threads,
-            gpu_freq_ghz,
-            self.power_constants,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        t = time_s(chars, is_gpu, cpu_freq_ghz, n_threads, gpu_freq_ghz)
+        cpu_w, nbgpu_w = plane_power_w(
+            chars, is_gpu, cpu_freq_ghz, n_threads, gpu_freq_ghz, self.power_constants
         )
+        if self.boost is not None:
+            # Opportunistic boost (Section VI extension): CPU rows at the
+            # top software P-state run faster and hotter, by the duty
+            # cycle the thermal headroom of their un-boosted power allows.
+            top = np.logical_not(is_gpu) & (
+                np.abs(np.asarray(cpu_freq_ghz) - pstates.CPU_MAX_FREQ_GHZ) < 1e-9
+            )
+            for i in np.flatnonzero(top):
+                n = int(n_threads[i])
+                # Frequency-sensitive share of runtime at the top P-state.
+                compute = (1.0 - chars.mem_fraction) / amdahl_speedup(
+                    n, chars.parallel_fraction
+                )
+                memory = chars.mem_fraction / memory_bandwidth_factor(n)
+                outcome = self.boost.evaluate(
+                    float(cpu_w[i] + nbgpu_w[i]),
+                    n,
+                    compute / (compute + memory) if compute + memory else 0.0,
+                )
+                t[i] *= outcome.time_scale
+                cpu_w[i] += outcome.power_delta_w
+        return t, cpu_w, nbgpu_w
 
 
 register_backend(

@@ -42,7 +42,7 @@ from __future__ import annotations
 import abc
 import importlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, ClassVar, Iterator, Mapping, Sequence
+from typing import Callable, ClassVar, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -50,9 +50,8 @@ from repro.hardware import pstates
 from repro.hardware.config import ConfigSpace, Configuration, Device
 from repro.hardware.kernelmodel import KernelCharacteristics
 from repro.hardware.noise import NoiseModel
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.hardware.power import PowerBreakdown
+from repro.hardware.power import PowerBreakdown
+from repro.telemetry import counter, gauge
 
 __all__ = [
     "Measurement",
@@ -318,6 +317,10 @@ class BackendDescriptor:
         ]
         return tuple(primary + secondary)
 
+    def config_space(self) -> "BlockConfigSpace":
+        """A fresh enumerable space over :meth:`enumerate_configs`."""
+        return BlockConfigSpace(self)
+
     def host_freq_ghz(self) -> float:
         """Primary-block frequency recorded on secondary-block rows (the
         host/orchestrating domain; its idle-governed maximum here)."""
@@ -392,6 +395,9 @@ class _TrinityDescriptor(BackendDescriptor):
 
     def enumerate_configs(self) -> tuple[Configuration, ...]:
         return tuple(ConfigSpace())
+
+    def config_space(self) -> ConfigSpace:
+        return ConfigSpace()
 
     def host_freq_ghz(self) -> float:
         return pstates.CPU_MAX_FREQ_GHZ
@@ -519,9 +525,10 @@ class HardwareBackend(abc.ABC):
       modeling pipeline sees.
 
     Instances carry ``config_space``, ``noise``, ``power_constants``
-    (a frozen, hashable calibration record keying the process-wide
-    memo caches), ``boost`` (``None`` when the machine has no
-    opportunistic overclocking), and ``fault_injector``.
+    (a frozen, hashable calibration record), ``boost`` (``None`` when
+    the machine has no opportunistic overclocking), ``physics_key``
+    (the two together: the identity process-wide memos key on), and
+    ``fault_injector``.
     """
 
     #: Registry name of the backend class (e.g. ``"trinity"``).
@@ -534,7 +541,7 @@ class HardwareBackend(abc.ABC):
         """Deterministic execution time (seconds) of one invocation."""
 
     @abc.abstractmethod
-    def true_power(self, kernel: object, cfg) -> "PowerBreakdown":
+    def true_power(self, kernel: object, cfg) -> PowerBreakdown:
         """Deterministic per-plane average power."""
 
     def true_total_power_w(self, kernel: object, cfg) -> float:
@@ -545,17 +552,10 @@ class HardwareBackend(abc.ABC):
         """Deterministic throughput (invocations per second)."""
         return 1.0 / self.true_time_s(kernel, cfg)
 
+    @abc.abstractmethod
     def true_table(self, kernel: object) -> dict:
         """Per-configuration ground truth ``{config: (total power W,
         performance)}`` over the whole space."""
-        chars = characteristics_of(kernel)
-        return {
-            cfg: (
-                self.true_power(chars, cfg).total_w,
-                1.0 / self.true_time_s(chars, cfg),
-            )
-            for cfg in self.config_space
-        }
 
     # -- measurement --------------------------------------------------------
 
@@ -581,9 +581,9 @@ class HardwareBackend(abc.ABC):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized ground-truth ``(rate, total power)`` per row.
 
-        Row semantics mirror the configuration fields; results are
-        bit-identical to the scalar ground-truth calls (the backend
-        conformance suite pins this for every registered backend).
+        Row semantics mirror the configuration fields; on rows of the
+        enumerated space the results equal :meth:`true_table` bit for
+        bit (the backend conformance suite pins this).
         """
 
     # -- fault injection ----------------------------------------------------
@@ -591,8 +591,11 @@ class HardwareBackend(abc.ABC):
     def inject_faults(self, faults) -> object | None:
         """Attach (or detach, with ``None``) a fault plan to the machine.
 
-        Only *measured* runs are perturbed; ground truth stays exact,
-        so oracle baselines and harness judgments are unaffected.
+        ``faults`` may be a :class:`repro.faults.FaultPlan` or an
+        existing :class:`repro.faults.FaultInjector` (to share one run
+        clock across machines).  Returns the active injector.  Only
+        *measured* runs are perturbed; ground truth stays exact, so
+        oracle baselines and harness judgments are unaffected.
         """
         if faults is None:
             self.fault_injector = None
@@ -610,24 +613,53 @@ class HardwareBackend(abc.ABC):
         return self.fault_injector
 
 
-# Process-wide ground-truth memo caches for descriptor-defined backends,
-# keyed by each backend's frozen constants record — mirroring (and
-# disjoint from) TrinityAPU's caches, which are keyed by
-# PowerModelConstants.  Distinct constants types can never collide.
-_BLOCK_TRUTH_CACHES: dict[object, tuple[dict, dict]] = {}
-_BLOCK_TABLE_CACHES: dict[object, dict] = {}
+class _Truth(NamedTuple):
+    """One kernel's ground truth over a machine's enumerated space,
+    keyed by configuration."""
+
+    time_s: dict
+    power: dict
+    #: ``{config: (total power W, performance)}`` — :meth:`true_table`.
+    table: dict
+
+
+# Process-wide memos, keyed first by a machine's physics identity (its
+# frozen constants record plus boost policy; each backend has its own
+# constants type, so backends never collide) and then by the kernel's
+# characteristics (truth) or the (characteristics, config) pair
+# (measurement templates).  The evaluation harness builds fresh machines
+# constantly — fresh noise streams, same physics — and every one of them
+# reads the same truths.  Keyspace is bounded: kernels-in-process x the
+# space size.
+_TRUTHS: dict[tuple, dict[KernelCharacteristics, _Truth]] = {}
+_TEMPLATES: dict[tuple, dict[tuple, tuple]] = {}
+
+# Hit/miss accounting for the two memo families (docs/OBSERVABILITY.md).
+# Instruments are fetched once here; their .inc() is a flag check when
+# telemetry is disabled.
+_TT_HITS = counter("cache.truth_table.hits")
+_TT_MISSES = counter("cache.truth_table.misses")
+_TT_SIZE = gauge("cache.truth_table.size")
+_TPL_HITS = counter("cache.measurement_template.hits")
+_TPL_MISSES = counter("cache.measurement_template.misses")
+_TPL_SIZE = gauge("cache.measurement_template.size")
 
 
 class AnalyticalBackend(HardwareBackend):
     """Shared machinery for analytical (closed-form) backends.
 
-    Subclasses provide the physics — :meth:`_model_time_s` and
-    :meth:`_model_power` over ``(characteristics, config)`` — plus a
-    ``descriptor`` and a frozen ``power_constants`` record; this base
-    supplies memoized ground truth, the noisy measurement path
-    (including fault-injection plumbing), and enumeration, so a new
-    machine is only its model equations.
+    A subclass provides a ``descriptor``, a frozen ``power_constants``
+    record, and its physics — one vectorized :meth:`_planes` over
+    configuration-factor arrays.  This base evaluates the physics once
+    per kernel over the whole enumerated space and serves every view
+    from that truth: the ``true_*`` reads, :meth:`true_table`, the
+    measurement templates behind :meth:`run`, and (through the same
+    function) :meth:`batch_rate_power`.  A new machine is therefore
+    only its model equations.
     """
+
+    #: Opportunistic-overclocking policy; part of the physics key.
+    boost = None
 
     def __init__(
         self,
@@ -640,94 +672,182 @@ class AnalyticalBackend(HardwareBackend):
         self.descriptor = descriptor
         self.noise = noise if noise is not None else NoiseModel()
         self.power_constants = constants
-        self.boost = None
-        self.config_space = BlockConfigSpace(descriptor)
+        self.config_space = descriptor.config_space()
         self.fault_injector = None
         self._rng = np.random.default_rng(seed)
-        caches = _BLOCK_TRUTH_CACHES.get(constants)
-        if caches is None:
-            caches = ({}, {})
-            _BLOCK_TRUTH_CACHES[constants] = caches
-        self._time_cache, self._power_cache = caches
+        self.physics_key = (constants, self.boost)
+        self._truths = _TRUTHS.setdefault(self.physics_key, {})
+        self._templates = _TEMPLATES.setdefault(self.physics_key, {})
+        # Lognormal parameters of each noise axis, exactly as
+        # NoiseModel._scale computes them; None marks an axis that draws
+        # nothing (measurements equal truth there).
+        self._ln_time, self._ln_power, self._ln_counter = (
+            (-0.5 * rel * rel, rel) if rel > 0.0 else None
+            for rel in (
+                self.noise.time_rel,
+                self.noise.power_rel,
+                self.noise.counter_rel,
+            )
+        )
 
-    # -- physics hooks ------------------------------------------------------
+    # -- physics --------------------------------------------------------------
 
     @abc.abstractmethod
-    def _model_time_s(self, chars: KernelCharacteristics, cfg) -> float:
-        """Deterministic invocation time of the analytical model."""
+    def _planes(
+        self,
+        chars: KernelCharacteristics,
+        is_gpu: np.ndarray,
+        cpu_freq_ghz: np.ndarray,
+        n_threads: np.ndarray,
+        gpu_freq_ghz: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The machine model: ``(time_s, cpu_plane_w, nbgpu_plane_w)``
+        per configuration row (parallel factor arrays, as in
+        :meth:`batch_rate_power`)."""
 
-    @abc.abstractmethod
-    def _model_power(self, chars: KernelCharacteristics, cfg) -> "PowerBreakdown":
-        """Deterministic per-plane power of the analytical model."""
+    def _truth(self, chars: KernelCharacteristics) -> _Truth:
+        truth = self._truths.get(chars)
+        return truth if truth is not None else self._build_truth(chars)
 
-    # -- ground truth -------------------------------------------------------
+    def _build_truth(self, chars: KernelCharacteristics) -> _Truth:
+        _TT_MISSES.inc()
+        configs = tuple(self.config_space)
+        t, cpu_w, nbgpu_w = self._planes(
+            chars,
+            np.array([c.is_gpu for c in configs]),
+            np.array([c.cpu_freq_ghz for c in configs]),
+            np.array([c.n_threads for c in configs]),
+            np.array([c.gpu_freq_ghz for c in configs]),
+        )
+        truth = _Truth(
+            time_s=dict(zip(configs, t.tolist())),
+            power={
+                c: PowerBreakdown(cpu_plane_w=a, nbgpu_plane_w=b)
+                for c, a, b in zip(configs, cpu_w.tolist(), nbgpu_w.tolist())
+            },
+            table=dict(
+                zip(configs, zip((cpu_w + nbgpu_w).tolist(), (1.0 / t).tolist()))
+            ),
+        )
+        self._truths[chars] = truth
+        _TT_SIZE.set(len(self._truths))
+        return truth
 
-    def true_time_s(self, kernel: object, cfg) -> float:
-        chars = characteristics_of(kernel)
-        t = self._time_cache.get((chars, cfg))
-        if t is None:
-            t = self._model_time_s(chars, cfg)
-            self._time_cache[(chars, cfg)] = t
-        return t
-
-    def true_power(self, kernel: object, cfg) -> "PowerBreakdown":
-        chars = characteristics_of(kernel)
-        pb = self._power_cache.get((chars, cfg))
-        if pb is None:
-            pb = self._model_power(chars, cfg)
-            self._power_cache[(chars, cfg)] = pb
-        return pb
-
-    def true_table(self, kernel: object) -> dict:
-        chars = characteristics_of(kernel)
-        tables = _BLOCK_TABLE_CACHES.get(self.power_constants)
-        if tables is None:
-            tables = {}
-            _BLOCK_TABLE_CACHES[self.power_constants] = tables
-        table = tables.get(chars)
-        if table is None:
-            table = {
-                cfg: (
-                    self.true_power(chars, cfg).total_w,
-                    1.0 / self.true_time_s(chars, cfg),
-                )
-                for cfg in self.config_space
-            }
-            tables[chars] = table
-        return table
-
-    # -- measurement --------------------------------------------------------
-
-    def run(self, kernel: object, cfg, *, rng=None) -> Measurement:
-        inj = self.fault_injector
-        if inj is None:
-            return self._run_clean(kernel, cfg, rng=rng)
-        ctx = inj.begin_run(cfg)
-        return ctx.apply(self._run_clean(kernel, ctx.config, rng=rng))
-
-    def _run_clean(self, kernel: object, cfg, *, rng=None) -> Measurement:
-        from repro.hardware.counters import synthesize_counters
-
-        chars = characteristics_of(kernel)
-        if cfg not in self.config_space:
+    @staticmethod
+    def _at(values: dict, cfg):
+        try:
+            return values[cfg]
+        except KeyError:
             raise ValueError(
                 f"{cfg} is not a valid configuration for this machine"
-            )
-        r = rng if rng is not None else self._rng
-        t = self.noise.perturb_time(self.true_time_s(chars, cfg), r)
-        pb = self.true_power(chars, cfg)
-        cpu_w = self.noise.perturb_power(pb.cpu_plane_w, r)
-        nbgpu_w = self.noise.perturb_power(pb.nbgpu_plane_w, r)
-        counters = self.noise.perturb_counters(
-            synthesize_counters(chars, cfg), r
+            ) from None
+
+    # -- ground truth ---------------------------------------------------------
+
+    def true_time_s(self, kernel: object, cfg) -> float:
+        return self._at(self._truth(characteristics_of(kernel)).time_s, cfg)
+
+    def true_power(self, kernel: object, cfg) -> PowerBreakdown:
+        return self._at(self._truth(characteristics_of(kernel)).power, cfg)
+
+    def true_table(self, kernel: object) -> dict:
+        """Per-configuration ground truth ``{config: (total power W,
+        performance)}`` over the whole space, memoized process-wide.
+
+        The evaluation harness judges every decision against ground
+        truth; one dict lookup per record beats two memoized calls.
+        """
+        chars = characteristics_of(kernel)
+        truth = self._truths.get(chars)
+        if truth is None:
+            return self._build_truth(chars).table
+        _TT_HITS.inc()
+        return truth.table
+
+    def batch_rate_power(
+        self,
+        kernel: object,
+        is_gpu: np.ndarray,
+        cpu_freq_ghz: np.ndarray,
+        n_threads: np.ndarray,
+        gpu_freq_ghz: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        chars = characteristics_of(kernel)
+        t, cpu_w, nbgpu_w = self._planes(
+            chars, is_gpu, cpu_freq_ghz, n_threads, gpu_freq_ghz
         )
+        return 1.0 / t, cpu_w + nbgpu_w
+
+    # -- measurement ----------------------------------------------------------
+
+    def run(self, kernel: object, cfg, *, rng=None) -> Measurement:
+        """Execute one kernel invocation and return a noisy measurement.
+
+        With a fault injector attached (:meth:`inject_faults`), the run
+        first passes through :meth:`repro.faults.FaultInjector.begin_run`
+        — which may raise :class:`repro.faults.SampleRunError` or
+        substitute the executed P-state — and the readings through the
+        run's sensor faults.  ``rng`` overrides the machine's internal
+        noise stream.
+        """
+        inj = self.fault_injector
+        if inj is None:
+            return self._run_clean(kernel, cfg, rng)
+        ctx = inj.begin_run(cfg)
+        return ctx.apply(self._run_clean(kernel, ctx.config, rng))
+
+    def _run_clean(self, kernel: object, cfg, rng) -> Measurement:
+        """The fault-free measurement path: the pair's template times
+        one lognormal draw per nonzero noise axis — time, then both
+        power planes in one size-2 draw (which consumes the stream
+        exactly like two scalar draws), then the counter block."""
+        chars = characteristics_of(kernel)
+        tpl = self._templates.get((chars, cfg))
+        if tpl is None:
+            _TPL_MISSES.inc()
+            tpl = self._template(chars, cfg)
+        else:
+            _TPL_HITS.inc()
+        names, t, cpu_w, nbgpu_w, counter_vals = tpl
+        r = rng if rng is not None else self._rng
+        if self._ln_time is not None:
+            t = float(t * r.lognormal(*self._ln_time))
+        if self._ln_power is not None:
+            pw = r.lognormal(*self._ln_power, size=2)
+            cpu_w = float(cpu_w * pw[0])
+            nbgpu_w = float(nbgpu_w * pw[1])
+        if self._ln_counter is not None:
+            counter_vals = counter_vals * r.lognormal(
+                *self._ln_counter, size=counter_vals.size
+            )
         return Measurement(
             config=cfg,
             time_s=t,
             cpu_plane_w=cpu_w,
             nbgpu_plane_w=nbgpu_w,
-            counters=counters,
+            counters=dict(zip(names, counter_vals.tolist())),
         )
+
+    def _template(self, chars: KernelCharacteristics, cfg) -> tuple:
+        """The fused noise-free reading of one pair: counter names, true
+        time and plane powers, and the true counter values."""
+        from repro.hardware.counters import synthesize_counters
+
+        truth = self._truth(chars)
+        pb = self._at(truth.power, cfg)
+        counters = synthesize_counters(chars, cfg)
+        counter_vals = np.array(list(counters.values()))
+        counter_vals.setflags(write=False)
+        tpl = (
+            tuple(counters),
+            truth.time_s[cfg],
+            pb.cpu_plane_w,
+            pb.nbgpu_plane_w,
+            counter_vals,
+        )
+        self._templates[(chars, cfg)] = tpl
+        _TPL_SIZE.set(len(self._templates))
+        return tpl
 
 
 # -- registry ----------------------------------------------------------------

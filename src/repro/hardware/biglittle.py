@@ -32,12 +32,10 @@ from repro.hardware.backend import (
     AnalyticalBackend,
     BackendDescriptor,
     BlockDescriptor,
-    characteristics_of,
     register_backend,
 )
 from repro.hardware.kernelmodel import KernelCharacteristics, amdahl_speedup
 from repro.hardware.noise import NoiseModel
-from repro.hardware.power import PowerBreakdown
 
 __all__ = [
     "HMPConstants",
@@ -113,10 +111,10 @@ BIGLITTLE_DESCRIPTOR = BackendDescriptor(
 )
 
 
-def _bw_factor(n: float, contention: float) -> float:
-    """Effective bandwidth scaling of ``n`` cores under a cluster's
-    contention coefficient (same shape as the Trinity model's
-    :func:`~repro.hardware.kernelmodel.memory_bandwidth_factor`)."""
+def _bw_factor(n, contention: float):
+    """Effective bandwidth scaling of ``n`` cores (scalar or array) under
+    a cluster's contention coefficient (same shape as the Trinity
+    model's :func:`~repro.hardware.kernelmodel.memory_bandwidth_factor`)."""
     return n / (1.0 + contention * (n - 1))
 
 
@@ -140,132 +138,59 @@ class BigLittleSoC(AnalyticalBackend):
             seed=seed,
         )
 
-    # -- timing -------------------------------------------------------------
-
-    def _model_time_s(self, k: KernelCharacteristics, cfg) -> float:
-        c = self.power_constants
-        if cfg.is_gpu:  # big cluster
-            s = cfg.gpu_freq_ghz / self.descriptor.secondary.max_freq_ghz
-            n = cfg.n_threads
-            compute = (1.0 - k.mem_fraction) / (
-                amdahl_speedup(n, k.parallel_fraction) * s * BIG_IPC
-            )
-            memory = k.mem_fraction / _bw_factor(n, BIG_BW_CONTENTION)
-            return k.work_s * (compute + memory) + migration_cost_s(k, c)
-        s = cfg.cpu_freq_ghz / self.descriptor.primary.max_freq_ghz
-        n = cfg.n_threads
-        compute = (1.0 - k.mem_fraction) / (
-            amdahl_speedup(n, k.parallel_fraction) * s * LITTLE_IPC
-        )
-        memory = k.mem_fraction / _bw_factor(n, LITTLE_BW_CONTENTION)
-        return k.work_s * (compute + memory)
-
-    # -- power --------------------------------------------------------------
-
-    def _model_power(self, k: KernelCharacteristics, cfg) -> PowerBreakdown:
-        c = self.power_constants
-        act = k.activity * (1.0 + 0.25 * k.vector_fraction)
-        if cfg.is_gpu:  # big cluster active, LITTLE idling
-            f = cfg.gpu_freq_ghz
-            v = self.descriptor.secondary.voltage(f)
-            n = cfg.n_threads
-            big = (
-                c.big_static_base_w
-                + c.big_static_v2_w * v * v
-                + n * c.big_dyn_per_core_w * act * f * v * v
-            )
-            traffic = _bw_factor(n, BIG_BW_CONTENTION) / _bw_factor(
-                self.descriptor.secondary.max_threads, BIG_BW_CONTENTION
-            )
-            uncore = c.uncore_static_w + c.dram_max_w * k.dram_intensity * traffic
-            return PowerBreakdown(
-                cpu_plane_w=c.little_idle_w, nbgpu_plane_w=big + uncore
-            )
-        f = cfg.cpu_freq_ghz
-        v = self.descriptor.primary.voltage(f)
-        n = cfg.n_threads
-        little = (
-            c.little_static_base_w
-            + c.little_static_v2_w * v * v
-            + n * c.little_dyn_per_core_w * act * f * v * v
-        )
-        traffic = _bw_factor(n, LITTLE_BW_CONTENTION) / _bw_factor(
-            self.descriptor.primary.max_threads, LITTLE_BW_CONTENTION
-        )
-        uncore = c.uncore_static_w + c.dram_max_w * k.dram_intensity * traffic
-        return PowerBreakdown(
-            cpu_plane_w=little, nbgpu_plane_w=c.big_idle_w + uncore
-        )
-
-    # -- batch evaluation ---------------------------------------------------
-
-    def batch_rate_power(
+    def _planes(
         self,
-        kernel: object,
+        k: KernelCharacteristics,
         is_gpu: np.ndarray,
         cpu_freq_ghz: np.ndarray,
         n_threads: np.ndarray,
         gpu_freq_ghz: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized ground truth, bit-identical to the scalar model
-        (float64 elementwise arithmetic in the same operation order)."""
-        k = characteristics_of(kernel)
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Both clusters' models elementwise, joined on the device mask
+        (``is_gpu`` rows run on the big cluster, the LITTLE one idling)."""
         c = self.power_constants
         d = self.descriptor
-
-        # timing — both branches elementwise, joined on the device mask
-        s_b = gpu_freq_ghz / d.secondary.max_freq_ghz
-        compute_b = (1.0 - k.mem_fraction) / (
-            (1.0 / ((1.0 - k.parallel_fraction) + k.parallel_fraction / n_threads))
-            * s_b
-            * BIG_IPC
-        )
-        memory_b = k.mem_fraction / (
-            n_threads / (1.0 + BIG_BW_CONTENTION * (n_threads - 1))
-        )
-        t_big = k.work_s * (compute_b + memory_b) + (
-            c.migration_base_s + c.migration_launch_scale * k.launch_overhead_s
-        )
-        s_l = cpu_freq_ghz / d.primary.max_freq_ghz
-        compute_l = (1.0 - k.mem_fraction) / (
-            (1.0 / ((1.0 - k.parallel_fraction) + k.parallel_fraction / n_threads))
-            * s_l
-            * LITTLE_IPC
-        )
-        memory_l = k.mem_fraction / (
-            n_threads / (1.0 + LITTLE_BW_CONTENTION * (n_threads - 1))
-        )
-        t_little = k.work_s * (compute_l + memory_l)
-        t = np.where(is_gpu, t_big, t_little)
-
-        # power
+        n = n_threads
+        amdahl = amdahl_speedup(n, k.parallel_fraction)
         act = k.activity * (1.0 + 0.25 * k.vector_fraction)
+
+        # big cluster: higher IPC, plus the migration off the LITTLE one
+        s_b = gpu_freq_ghz / d.secondary.max_freq_ghz
+        compute_b = (1.0 - k.mem_fraction) / (amdahl * s_b * BIG_IPC)
+        memory_b = k.mem_fraction / _bw_factor(n, BIG_BW_CONTENTION)
+        t_big = k.work_s * (compute_b + memory_b) + migration_cost_s(k, c)
         v_b = d.secondary.v0 + d.secondary.v1 * gpu_freq_ghz
         big = (
             c.big_static_base_w
             + c.big_static_v2_w * v_b * v_b
-            + n_threads * c.big_dyn_per_core_w * act * gpu_freq_ghz * v_b * v_b
+            + n * c.big_dyn_per_core_w * act * gpu_freq_ghz * v_b * v_b
         )
-        traffic_b = (
-            n_threads / (1.0 + BIG_BW_CONTENTION * (n_threads - 1))
-        ) / _bw_factor(d.secondary.max_threads, BIG_BW_CONTENTION)
+        traffic_b = _bw_factor(n, BIG_BW_CONTENTION) / _bw_factor(
+            d.secondary.max_threads, BIG_BW_CONTENTION
+        )
         uncore_b = c.uncore_static_w + c.dram_max_w * k.dram_intensity * traffic_b
+
+        # LITTLE cluster
+        s_l = cpu_freq_ghz / d.primary.max_freq_ghz
+        compute_l = (1.0 - k.mem_fraction) / (amdahl * s_l * LITTLE_IPC)
+        memory_l = k.mem_fraction / _bw_factor(n, LITTLE_BW_CONTENTION)
+        t_little = k.work_s * (compute_l + memory_l)
         v_l = d.primary.v0 + d.primary.v1 * cpu_freq_ghz
         little = (
             c.little_static_base_w
             + c.little_static_v2_w * v_l * v_l
-            + n_threads * c.little_dyn_per_core_w * act * cpu_freq_ghz * v_l * v_l
+            + n * c.little_dyn_per_core_w * act * cpu_freq_ghz * v_l * v_l
         )
-        traffic_l = (
-            n_threads / (1.0 + LITTLE_BW_CONTENTION * (n_threads - 1))
-        ) / _bw_factor(d.primary.max_threads, LITTLE_BW_CONTENTION)
+        traffic_l = _bw_factor(n, LITTLE_BW_CONTENTION) / _bw_factor(
+            d.primary.max_threads, LITTLE_BW_CONTENTION
+        )
         uncore_l = c.uncore_static_w + c.dram_max_w * k.dram_intensity * traffic_l
-        power = np.where(
-            is_gpu,
-            c.little_idle_w + (big + uncore_b),
-            little + (c.big_idle_w + uncore_l),
+
+        return (
+            np.where(is_gpu, t_big, t_little),
+            np.where(is_gpu, c.little_idle_w, little),
+            np.where(is_gpu, big + uncore_b, c.big_idle_w + uncore_l),
         )
-        return 1.0 / t, power
 
 
 register_backend(

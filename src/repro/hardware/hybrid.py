@@ -28,15 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.constants import respects_cap
 from repro.hardware import pstates
 from repro.hardware.config import Configuration
-from repro.hardware.kernelmodel import (
-    KernelCharacteristics,
-    cpu_time_s,
-    gpu_time_s,
-)
-from repro.hardware.power import PowerModelConstants, power_w
+from repro.hardware.kernelmodel import KernelCharacteristics, time_s
+from repro.hardware.power import PowerModelConstants, plane_power_w
 from repro.telemetry import counter, gauge
 
 __all__ = [
@@ -87,6 +85,65 @@ class HybridPoint:
         return 1.0 / self.time_s
 
 
+def _hybrid_points(
+    k: KernelCharacteristics,
+    cpu_freq_ghz: np.ndarray,
+    n_threads: np.ndarray,
+    gpu_freq_ghz: np.ndarray,
+    efficiency: float,
+    c: PowerModelConstants,
+) -> list[HybridPoint]:
+    """Hybrid operating points for parallel factor arrays, evaluated
+    with one call of the machine model per device side."""
+    if not 0.0 < efficiency <= 1.0:
+        raise ValueError("efficiency must be in (0, 1]")
+    cpu_side = np.zeros(len(cpu_freq_ghz), dtype=bool)
+    gpu_side = ~cpu_side
+    # The CPU side idles the GPU at its minimum P-state; the GPU side
+    # pins one host thread at the CPU side's P-state.
+    gpu_idle = np.full(len(cpu_freq_ghz), pstates.GPU_MIN_FREQ_GHZ)
+    one = np.ones(len(cpu_freq_ghz), dtype=np.int64)
+
+    t_cpu = time_s(k, cpu_side, cpu_freq_ghz, n_threads, gpu_idle)
+    t_gpu = time_s(k, gpu_side, cpu_freq_ghz, one, gpu_freq_ghz)
+
+    # Perfect load balance: split so both sides finish together.
+    # share/t_cpu' = (1-share)/t_gpu'  ->  share = t_gpu / (t_cpu + t_gpu)
+    # (t_x is the full-work time on device x; a fraction s of the work
+    # takes s * t_x).
+    cpu_share = t_gpu / (t_cpu + t_gpu)
+    ideal_time = cpu_share * t_cpu  # == (1 - cpu_share) * t_gpu
+    hybrid_time = ideal_time / efficiency
+
+    # Power: both devices active simultaneously.  Shared NB/DRAM/static
+    # components must not be double counted: take the CPU-side report
+    # and add only the GPU-side's *GPU-specific* increment (its NB+GPU
+    # plane minus the idle-GPU NB+GPU plane the CPU side already pays),
+    # plus the larger DRAM draw is already inside whichever side reports
+    # more on that plane.
+    cpu_c, nbgpu_c = plane_power_w(k, cpu_side, cpu_freq_ghz, n_threads, gpu_idle, c)
+    _, nbgpu_g = plane_power_w(k, gpu_side, cpu_freq_ghz, one, gpu_freq_ghz, c)
+    total_power = (cpu_c + nbgpu_c) + np.maximum(nbgpu_g - nbgpu_c, 0.0)
+
+    return [
+        HybridPoint(
+            cpu_config=Configuration.cpu(f, n),
+            gpu_config=Configuration.gpu(g, f),
+            time_s=t,
+            power_w=p,
+            cpu_share=share,
+        )
+        for f, n, g, t, p, share in zip(
+            np.asarray(cpu_freq_ghz).tolist(),
+            np.asarray(n_threads).tolist(),
+            np.asarray(gpu_freq_ghz).tolist(),
+            hybrid_time.tolist(),
+            total_power.tolist(),
+            cpu_share.tolist(),
+        )
+    ]
+
+
 def hybrid_execution(
     k: KernelCharacteristics,
     cpu_freq_ghz: float,
@@ -110,42 +167,15 @@ def hybrid_execution(
         paper's conceded best case; realistic hybrid runtimes land well
         below).
     """
-    if not 0.0 < efficiency <= 1.0:
-        raise ValueError("efficiency must be in (0, 1]")
-    c = constants if constants is not None else PowerModelConstants()
-
-    cpu_cfg = Configuration.cpu(cpu_freq_ghz, n_threads)
-    gpu_cfg = Configuration.gpu(gpu_freq_ghz, cpu_freq_ghz)
-
-    t_cpu = cpu_time_s(k, cpu_freq_ghz, n_threads)
-    t_gpu = gpu_time_s(k, gpu_freq_ghz, cpu_freq_ghz)
-
-    # Perfect load balance: split so both sides finish together.
-    # share/t_cpu' = (1-share)/t_gpu'  ->  share = t_gpu / (t_cpu + t_gpu)
-    # (t_x is the full-work time on device x; a fraction s of the work
-    # takes s * t_x).
-    cpu_share = t_gpu / (t_cpu + t_gpu)
-    ideal_time = cpu_share * t_cpu  # == (1 - cpu_share) * t_gpu
-    time_s = ideal_time / efficiency
-
-    # Power: both devices active simultaneously.  Shared NB/DRAM/static
-    # components must not be double counted: take the CPU-side report
-    # and add only the GPU-side's *GPU-specific* increment (its NB+GPU
-    # plane minus the idle-GPU NB+GPU plane the CPU side already pays),
-    # plus the larger DRAM draw is already inside whichever side reports
-    # more on that plane.
-    pb_cpu = power_w(k, cpu_cfg, c)
-    pb_gpu = power_w(k, gpu_cfg, c)
-    gpu_increment = pb_gpu.nbgpu_plane_w - pb_cpu.nbgpu_plane_w
-    total_power = pb_cpu.total_w + max(gpu_increment, 0.0)
-
-    return HybridPoint(
-        cpu_config=cpu_cfg,
-        gpu_config=gpu_cfg,
-        time_s=time_s,
-        power_w=total_power,
-        cpu_share=cpu_share,
+    (point,) = _hybrid_points(
+        k,
+        np.array([cpu_freq_ghz]),
+        np.array([n_threads]),
+        np.array([gpu_freq_ghz]),
+        efficiency,
+        constants if constants is not None else PowerModelConstants(),
     )
+    return point
 
 
 def enumerate_hybrid_points(
@@ -155,7 +185,8 @@ def enumerate_hybrid_points(
     constants: PowerModelConstants | None = None,
 ) -> list[HybridPoint]:
     """Every hybrid operating point for kernel ``k`` (the full CPU
-    frequency x thread count x GPU frequency cross product).
+    frequency x thread count x GPU frequency cross product), evaluated
+    in one vectorized pass.
 
     The set is independent of any power cap, so callers comparing one
     kernel against many caps should enumerate once and reuse (see
@@ -171,11 +202,14 @@ def enumerate_hybrid_points(
     points = _POINTS_CACHE.get(key)
     if points is None:
         _HP_MISSES.inc()
+        f, n, g = np.meshgrid(
+            pstates.CPU_FREQS_GHZ,
+            np.arange(1, pstates.N_CORES + 1),
+            pstates.GPU_FREQS_GHZ,
+            indexing="ij",
+        )
         points = tuple(
-            hybrid_execution(k, f, n, g, efficiency=efficiency, constants=c)
-            for f in pstates.CPU_FREQS_GHZ
-            for n in range(1, pstates.N_CORES + 1)
-            for g in pstates.GPU_FREQS_GHZ
+            _hybrid_points(k, f.ravel(), n.ravel(), g.ravel(), efficiency, c)
         )
         _POINTS_CACHE[key] = points
         _HP_SIZE.set(len(_POINTS_CACHE))

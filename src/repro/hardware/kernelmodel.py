@@ -39,17 +39,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from repro.hardware import pstates
-from repro.hardware.config import Configuration, Device
 
 __all__ = [
     "KernelCharacteristics",
     "amdahl_speedup",
-    "cpu_time_s",
     "gpu_busy_fraction",
-    "gpu_time_s",
     "memory_bandwidth_factor",
-    "true_time_s",
+    "time_s",
 ]
 
 #: Memory-bandwidth contention coefficient: bw(4) ~ 2.29x one thread.
@@ -170,50 +169,32 @@ class KernelCharacteristics:
         )
 
 
-def amdahl_speedup(n_threads: int, parallel_fraction: float) -> float:
-    """Amdahl's-law speedup of the compute part at ``n_threads``."""
-    if n_threads < 1:
+def _require_threads(n_threads) -> None:
+    below = n_threads < 1
+    if below.any() if isinstance(below, np.ndarray) else below:
         raise ValueError("n_threads must be >= 1")
+
+
+def amdahl_speedup(n_threads, parallel_fraction: float):
+    """Amdahl's-law speedup of the compute part at ``n_threads`` (a
+    scalar or an array of thread counts)."""
+    _require_threads(n_threads)
     return 1.0 / ((1.0 - parallel_fraction) + parallel_fraction / n_threads)
 
 
-def memory_bandwidth_factor(n_threads: int) -> float:
-    """Effective memory bandwidth relative to one thread.
+def memory_bandwidth_factor(n_threads):
+    """Effective memory bandwidth relative to one thread (a scalar or an
+    array of thread counts).
 
     Saturating: ``bw(n) = n / (1 + c (n-1))`` with contention ``c`` —
     additional threads help until the shared memory controller saturates
     (the CPU and GPU share it on Trinity).
     """
-    if n_threads < 1:
-        raise ValueError("n_threads must be >= 1")
+    _require_threads(n_threads)
     return n_threads / (1.0 + BW_CONTENTION * (n_threads - 1))
 
 
-def cpu_time_s(k: KernelCharacteristics, freq_ghz: float, n_threads: int) -> float:
-    """Ground-truth CPU execution time of one kernel invocation."""
-    s = freq_ghz / pstates.CPU_MAX_FREQ_GHZ
-    compute = (1.0 - k.mem_fraction) / (
-        amdahl_speedup(n_threads, k.parallel_fraction) * s
-    )
-    memory = k.mem_fraction / memory_bandwidth_factor(n_threads)
-    return k.work_s * (compute + memory)
-
-
-def gpu_time_s(
-    k: KernelCharacteristics, gpu_freq_ghz: float, host_cpu_freq_ghz: float
-) -> float:
-    """Ground-truth GPU execution time (device time + host launch time)."""
-    fg = gpu_freq_ghz / pstates.GPU_MAX_FREQ_GHZ
-    device = (k.work_s / k.gpu_affinity) * (
-        (1.0 - k.gpu_mem_fraction) / fg + k.gpu_mem_fraction
-    )
-    launch = k.launch_overhead_s * (
-        pstates.CPU_MAX_FREQ_GHZ / host_cpu_freq_ghz
-    )
-    return device + launch
-
-
-def gpu_busy_fraction(k: KernelCharacteristics, gpu_freq_ghz: float) -> float:
+def gpu_busy_fraction(k: KernelCharacteristics, gpu_freq_ghz):
     """Fraction of GPU device time spent computing (vs memory stalls).
 
     Used by the power model: a memory-bound GPU kernel at a high P-state
@@ -226,8 +207,31 @@ def gpu_busy_fraction(k: KernelCharacteristics, gpu_freq_ghz: float) -> float:
     return compute / (compute + k.gpu_mem_fraction)
 
 
-def true_time_s(k: KernelCharacteristics, cfg: Configuration) -> float:
-    """Ground-truth execution time of ``k`` on configuration ``cfg``."""
-    if cfg.device is Device.CPU:
-        return cpu_time_s(k, cfg.cpu_freq_ghz, cfg.n_threads)
-    return gpu_time_s(k, cfg.gpu_freq_ghz, cfg.cpu_freq_ghz)
+def time_s(
+    k: KernelCharacteristics,
+    is_gpu: np.ndarray,
+    cpu_freq_ghz: np.ndarray,
+    n_threads: np.ndarray,
+    gpu_freq_ghz: np.ndarray,
+) -> np.ndarray:
+    """Ground-truth execution time of ``k`` per configuration row.
+
+    The arguments are parallel factor arrays (the fields of
+    :class:`~repro.hardware.config.Configuration`; ``is_gpu`` is the
+    device mask).  Both device formulas are evaluated elementwise and
+    joined on the mask, so each row equals the branch it takes.
+    """
+    s = cpu_freq_ghz / pstates.CPU_MAX_FREQ_GHZ
+    compute = (1.0 - k.mem_fraction) / (
+        amdahl_speedup(n_threads, k.parallel_fraction) * s
+    )
+    memory = k.mem_fraction / memory_bandwidth_factor(n_threads)
+    t_cpu = k.work_s * (compute + memory)
+
+    fg = gpu_freq_ghz / pstates.GPU_MAX_FREQ_GHZ
+    device = (k.work_s / k.gpu_affinity) * (
+        (1.0 - k.gpu_mem_fraction) / fg + k.gpu_mem_fraction
+    )
+    # Launch/driver overhead runs on the host CPU at its P-state.
+    launch = k.launch_overhead_s * (pstates.CPU_MAX_FREQ_GHZ / cpu_freq_ghz)
+    return np.where(is_gpu, device + launch, t_cpu)

@@ -41,12 +41,10 @@ from repro.hardware.backend import (
     AnalyticalBackend,
     BackendDescriptor,
     BlockDescriptor,
-    characteristics_of,
     register_backend,
 )
 from repro.hardware.kernelmodel import KernelCharacteristics, amdahl_speedup
 from repro.hardware.noise import NoiseModel
-from repro.hardware.power import PowerBreakdown
 
 __all__ = [
     "MPSoCConstants",
@@ -194,8 +192,9 @@ def _descriptor(tech_nm: int) -> BackendDescriptor:
     return desc
 
 
-def _bw_factor(m: float) -> float:
-    """Effective bandwidth of ``m`` active throughput cores."""
+def _bw_factor(m):
+    """Effective bandwidth of ``m`` active throughput cores (scalar or
+    array)."""
     return m / (1.0 + TPUT_BW_CONTENTION * (m - 1))
 
 
@@ -238,123 +237,28 @@ class MPSoC(AnalyticalBackend):
             for i, f in enumerate(self.descriptor.secondary.freqs_ghz)
         }
 
-    # -- relative-coordinate model (45 nm reference) ------------------------
-
-    @staticmethod
-    def _serial_time_base(k: KernelCharacteristics, s: float, n: int) -> float:
-        smt = 1.0 + SMT_UPLIFT * k.parallel_fraction * (n - 1)
-        compute = (1.0 - k.mem_fraction) / (smt * s * SERIAL_IPC)
-        return k.work_s * (compute + k.mem_fraction)
-
-    @staticmethod
-    def _tput_time_base(k: KernelCharacteristics, g: float, m: int) -> float:
-        # Parallel efficiency normalized to the full 64-core array, so a
-        # fully-dimmed full array at nominal frequency matches the
-        # kernel's intrinsic throughput affinity.
-        eff = amdahl_speedup(m, k.parallel_fraction) / amdahl_speedup(
-            64, k.parallel_fraction
-        )
-        traffic = _bw_factor(m) / _bw_factor(64)
-        device = (k.work_s / k.gpu_affinity) * (
-            (1.0 - k.gpu_mem_fraction) / (g * eff)
-            + k.gpu_mem_fraction / traffic
-        )
-        return device + DISPATCH_SCALE * k.launch_overhead_s
-
-    def _planes_base(
-        self, k: KernelCharacteristics, cfg
-    ) -> tuple[float, float]:
-        """(primary plane, secondary plane) at the 45 nm reference."""
-        c = self.power_constants
-        if cfg.is_gpu:
-            g = self._rel_tput[cfg.gpu_freq_ghz]
-            m = cfg.n_threads
-            v = 0.42 + 0.58 * g
-            tput = (
-                c.tput_static_base_w
-                + c.tput_static_v2_w * v * v
-                + m * c.tput_dyn_per_core_w * k.gpu_activity * g * v * v
-            )
-            traffic = _bw_factor(m) / _bw_factor(64)
-            uncore = c.uncore_static_w + c.dram_max_w * k.dram_intensity * traffic
-            return c.serial_host_w, tput + uncore
-        s = self._rel_serial[cfg.cpu_freq_ghz]
-        n = cfg.n_threads
-        act = k.activity * (1.0 + 0.25 * k.vector_fraction)
-        v = 0.55 + 0.45 * s
-        serial = (
-            c.serial_static_base_w
-            + c.serial_static_v2_w * v * v
-            + n * c.serial_dyn_per_thread_w * act * s * v * v
-        )
-        uncore = c.uncore_static_w + c.dram_max_w * k.dram_intensity
-        return serial, c.tput_idle_w + uncore
-
-    # -- node-scaled physics ------------------------------------------------
-
-    def _model_time_s(self, k: KernelCharacteristics, cfg) -> float:
-        if cfg.is_gpu:
-            base = self._tput_time_base(
-                k, self._rel_tput[cfg.gpu_freq_ghz], cfg.n_threads
-            )
-        else:
-            base = self._serial_time_base(
-                k, self._rel_serial[cfg.cpu_freq_ghz], cfg.n_threads
-            )
-        return base / FREQ_SCALE[self.power_constants.tech_nm]
-
-    def _model_power(self, k: KernelCharacteristics, cfg) -> PowerBreakdown:
-        primary, secondary = self._planes_base(k, cfg)
-        scale = POWER_SCALE[self.power_constants.tech_nm]
-        return PowerBreakdown(
-            cpu_plane_w=primary * scale, nbgpu_plane_w=secondary * scale
-        )
-
-    # -- batch evaluation ---------------------------------------------------
-
-    def batch_rate_power(
+    def _planes(
         self,
-        kernel: object,
+        k: KernelCharacteristics,
         is_gpu: np.ndarray,
         cpu_freq_ghz: np.ndarray,
         n_threads: np.ndarray,
         gpu_freq_ghz: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized ground truth, bit-identical to the scalar model.
-
-        Relative DVFS points are recovered by ladder lookup (exactly as
-        the scalar path does), then evaluated elementwise in the same
-        operation order.
-        """
-        k = characteristics_of(kernel)
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Both blocks' models at the 45 nm reference, joined on the
+        device mask (``is_gpu`` rows run on the throughput array), then
+        scaled to the node."""
         c = self.power_constants
+        # Relative DVFS points by ladder lookup (off-ladder values, which
+        # no enumerated row carries, read as nominal).
         s = np.array([self._rel_serial.get(float(f), 1.0) for f in cpu_freq_ghz])
         g = np.array([self._rel_tput.get(float(f), 1.0) for f in gpu_freq_ghz])
         n = n_threads
 
+        # serial core: SMT uplift on the parallel share
         smt = 1.0 + SMT_UPLIFT * k.parallel_fraction * (n - 1)
         compute_s = (1.0 - k.mem_fraction) / (smt * s * SERIAL_IPC)
         t_serial = k.work_s * (compute_s + k.mem_fraction)
-        eff = (
-            1.0 / ((1.0 - k.parallel_fraction) + k.parallel_fraction / n)
-        ) / amdahl_speedup(64, k.parallel_fraction)
-        traffic = (n / (1.0 + TPUT_BW_CONTENTION * (n - 1))) / _bw_factor(64)
-        t_tput = (k.work_s / k.gpu_affinity) * (
-            (1.0 - k.gpu_mem_fraction) / (g * eff)
-            + k.gpu_mem_fraction / traffic
-        ) + DISPATCH_SCALE * k.launch_overhead_s
-        t = (
-            np.where(is_gpu, t_tput, t_serial)
-            / FREQ_SCALE[c.tech_nm]
-        )
-
-        v_t = 0.42 + 0.58 * g
-        tput = (
-            c.tput_static_base_w
-            + c.tput_static_v2_w * v_t * v_t
-            + n * c.tput_dyn_per_core_w * k.gpu_activity * g * v_t * v_t
-        )
-        uncore_t = c.uncore_static_w + c.dram_max_w * k.dram_intensity * traffic
         act = k.activity * (1.0 + 0.25 * k.vector_fraction)
         v_s = 0.55 + 0.45 * s
         serial = (
@@ -363,13 +267,32 @@ class MPSoC(AnalyticalBackend):
             + n * c.serial_dyn_per_thread_w * act * s * v_s * v_s
         )
         uncore_s = c.uncore_static_w + c.dram_max_w * k.dram_intensity
-        scale = POWER_SCALE[c.tech_nm]
-        power = np.where(
-            is_gpu,
-            c.serial_host_w * scale + (tput + uncore_t) * scale,
-            serial * scale + (c.tput_idle_w + uncore_s) * scale,
+
+        # throughput array: parallel efficiency normalized to the full
+        # 64-core array, so a fully-dimmed full array at nominal
+        # frequency matches the kernel's intrinsic throughput affinity
+        eff = amdahl_speedup(n, k.parallel_fraction) / amdahl_speedup(
+            64, k.parallel_fraction
         )
-        return 1.0 / t, power
+        traffic = _bw_factor(n) / _bw_factor(64)
+        t_tput = (k.work_s / k.gpu_affinity) * (
+            (1.0 - k.gpu_mem_fraction) / (g * eff)
+            + k.gpu_mem_fraction / traffic
+        ) + DISPATCH_SCALE * k.launch_overhead_s
+        v_t = 0.42 + 0.58 * g
+        tput = (
+            c.tput_static_base_w
+            + c.tput_static_v2_w * v_t * v_t
+            + n * c.tput_dyn_per_core_w * k.gpu_activity * g * v_t * v_t
+        )
+        uncore_t = c.uncore_static_w + c.dram_max_w * k.dram_intensity * traffic
+
+        scale = POWER_SCALE[c.tech_nm]
+        return (
+            np.where(is_gpu, t_tput, t_serial) / FREQ_SCALE[c.tech_nm],
+            np.where(is_gpu, c.serial_host_w, serial) * scale,
+            np.where(is_gpu, tput + uncore_t, c.tput_idle_w + uncore_s) * scale,
+        )
 
 
 register_backend(

@@ -39,15 +39,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.hardware import pstates
-from repro.hardware.config import Configuration, Device
 from repro.hardware.kernelmodel import (
     KernelCharacteristics,
     gpu_busy_fraction,
     memory_bandwidth_factor,
 )
 
-__all__ = ["PowerModelConstants", "PowerBreakdown", "power_w"]
+__all__ = ["PowerModelConstants", "PowerBreakdown", "plane_power_w"]
 
 
 @dataclass(frozen=True)
@@ -85,57 +86,44 @@ class PowerBreakdown:
         return self.cpu_plane_w + self.nbgpu_plane_w
 
 
-def _cpu_plane_w(
-    k: KernelCharacteristics, cfg: Configuration, c: PowerModelConstants
-) -> float:
-    v = pstates.cpu_voltage(cfg.cpu_freq_ghz)
-    static = c.cpu_static_base + c.cpu_static_v2 * v * v
-    if cfg.device is Device.CPU:
-        # Vector-dense kernels switch more silicon per cycle.
-        act = k.activity * (1.0 + 0.25 * k.vector_fraction)
-        n_active = cfg.n_threads
-    else:
-        act = c.host_activity
-        n_active = 1
-    dynamic = n_active * c.cpu_dyn_per_core * act * cfg.cpu_freq_ghz * v * v
-    return static + dynamic
-
-
-def _dram_w(
-    k: KernelCharacteristics, cfg: Configuration, c: PowerModelConstants
-) -> float:
-    if cfg.device is Device.CPU:
-        # Traffic grows with delivered memory bandwidth, saturating with
-        # thread count exactly as the timing model's bw() does.
-        traffic = memory_bandwidth_factor(cfg.n_threads) / memory_bandwidth_factor(
-            pstates.N_CORES
-        )
-    else:
-        # The GPU's wide SIMD units drive the shared memory controller
-        # harder than the CPU cores can.
-        traffic = min(c.gpu_traffic_scale, 2.0)
-    return c.dram_max_w * k.dram_intensity * traffic
-
-
-def _gpu_w(
-    k: KernelCharacteristics, cfg: Configuration, c: PowerModelConstants
-) -> float:
-    if cfg.device is Device.CPU:
-        return c.gpu_idle_w
-    vg = pstates.gpu_voltage(cfg.gpu_freq_ghz)
-    static = c.gpu_static_base + c.gpu_static_v2 * vg * vg
-    busy = gpu_busy_fraction(k, cfg.gpu_freq_ghz)
-    dynamic = c.gpu_dyn * k.gpu_activity * cfg.gpu_freq_ghz * vg * vg * busy
-    return static + dynamic
-
-
-def power_w(
+def plane_power_w(
     k: KernelCharacteristics,
-    cfg: Configuration,
+    is_gpu: np.ndarray,
+    cpu_freq_ghz: np.ndarray,
+    n_threads: np.ndarray,
+    gpu_freq_ghz: np.ndarray,
     constants: PowerModelConstants | None = None,
-) -> PowerBreakdown:
-    """Ground-truth per-plane average power of ``k`` running on ``cfg``."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ground-truth ``(cpu plane, northbridge+GPU plane)`` average power
+    of ``k`` per configuration row (watts).
+
+    The arguments are parallel factor arrays as in
+    :func:`~repro.hardware.kernelmodel.time_s`; both device branches are
+    evaluated elementwise and joined on the ``is_gpu`` mask.
+    """
     c = constants if constants is not None else PowerModelConstants()
-    cpu_plane = _cpu_plane_w(k, cfg, c)
-    nbgpu = c.nb_static + _dram_w(k, cfg, c) + _gpu_w(k, cfg, c)
-    return PowerBreakdown(cpu_plane_w=cpu_plane, nbgpu_plane_w=nbgpu)
+    v = pstates._CPU_V0 + pstates._CPU_V1 * cpu_freq_ghz
+    static = c.cpu_static_base + c.cpu_static_v2 * v * v
+    # Vector-dense kernels switch more silicon per cycle; on GPU rows one
+    # host thread runs driver code at a reduced activity.
+    act_cpu = k.activity * (1.0 + 0.25 * k.vector_fraction)
+    act = np.where(is_gpu, c.host_activity, act_cpu)
+    n_active = np.where(is_gpu, 1.0, n_threads)
+    cpu_plane = static + n_active * c.cpu_dyn_per_core * act * cpu_freq_ghz * v * v
+
+    # CPU traffic grows with delivered memory bandwidth, saturating with
+    # thread count exactly as the timing model's bw() does; the GPU's
+    # wide SIMD units drive the shared memory controller harder.
+    traffic_cpu = memory_bandwidth_factor(n_threads) / memory_bandwidth_factor(
+        pstates.N_CORES
+    )
+    traffic = np.where(is_gpu, min(c.gpu_traffic_scale, 2.0), traffic_cpu)
+    dram = c.dram_max_w * k.dram_intensity * traffic
+
+    vg = pstates._GPU_V0 + pstates._GPU_V1 * gpu_freq_ghz
+    gpu_static = c.gpu_static_base + c.gpu_static_v2 * vg * vg
+    busy = gpu_busy_fraction(k, gpu_freq_ghz)
+    gpu_dynamic = c.gpu_dyn * k.gpu_activity * gpu_freq_ghz * vg * vg * busy
+    gpu = np.where(is_gpu, gpu_static + gpu_dynamic, c.gpu_idle_w)
+
+    return cpu_plane, c.nb_static + dram + gpu

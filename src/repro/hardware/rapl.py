@@ -29,7 +29,8 @@ import numpy as np
 from repro.constants import respects_cap
 from repro.faults.errors import SampleRunError
 from repro.hardware import pstates
-from repro.hardware.apu import Measurement, TrinityAPU, _characteristics
+from repro.hardware.apu import TrinityAPU
+from repro.hardware.backend import Measurement, characteristics_of
 from repro.hardware.config import Configuration, Device
 from repro.telemetry import counter
 
@@ -176,7 +177,7 @@ class FrequencyLimiter:
             raise ValueError("power_cap_w must be positive")
         # Resolve characteristics once: every control step re-measures
         # the same kernel, so don't re-derive them per apu.run call.
-        kernel = _characteristics(kernel)
+        kernel = characteristics_of(kernel)
         trace: list[tuple[Configuration, float]] = []
         cfg = start
         m, observed = self._observe(kernel, cfg, rng)
@@ -214,7 +215,7 @@ class FrequencyLimiter:
         headroom remains, raise the host CPU frequency as far as possible
         without violating the cap.
         """
-        kernel = _characteristics(kernel)
+        kernel = characteristics_of(kernel)
         start = Configuration.gpu(
             pstates.GPU_MAX_FREQ_GHZ, pstates.CPU_MIN_FREQ_GHZ
         )

@@ -15,16 +15,17 @@ import numpy as np
 
 from repro.core.frontier import ParetoFrontier
 from repro.hardware.apu import TrinityAPU
+from repro.hardware.backend import characteristics_of
 from repro.methods.base import MethodDecision, PowerLimitMethod
 from repro.telemetry import counter, gauge
 
 __all__ = ["Oracle"]
 
 #: Process-wide frontier memo: a kernel's ground-truth frontier is a
-#: pure function of its characteristics and the machine's power
-#: constants (boost off).  Fresh Oracles are built for every evaluation
-#: run; sharing the memo keeps repeated runs from re-deriving identical
-#: frontiers.
+#: pure function of its characteristics and the machine's physics key
+#: (power constants plus boost policy).  Fresh Oracles are built for
+#: every evaluation run; sharing the memo keeps repeated runs from
+#: re-deriving identical frontiers.
 _FRONTIER_CACHE: dict[tuple, ParetoFrontier] = {}
 
 # Hit/miss accounting for the frontier memo (see docs/OBSERVABILITY.md).
@@ -46,38 +47,24 @@ class Oracle(PowerLimitMethod):
 
     def __init__(self, apu: TrinityAPU) -> None:
         self.apu = apu
-        self._frontiers: dict[int, ParetoFrontier] = {}
 
     def true_frontier(self, kernel) -> ParetoFrontier:
         """The kernel's ground-truth Pareto frontier (cached)."""
-        chars = getattr(kernel, "characteristics", None)
-        if self.apu.boost is None and chars is not None:
-            key = (self.apu.power_constants, chars)
-            frontier = _FRONTIER_CACHE.get(key)
-            if frontier is None:
-                _FRONTIER_MISSES.inc()
-                frontier = self._build_frontier(kernel)
-                _FRONTIER_CACHE[key] = frontier
-                _FRONTIER_SIZE.set(len(_FRONTIER_CACHE))
-            else:
-                _FRONTIER_HITS.inc()
-            return frontier
-        key = id(kernel)
-        if key not in self._frontiers:
-            self._frontiers[key] = self._build_frontier(kernel)
-        return self._frontiers[key]
-
-    def _build_frontier(self, kernel) -> ParetoFrontier:
-        configs = list(self.apu.config_space)
-        return ParetoFrontier.from_arrays(
-            configs,
-            np.array(
-                [self.apu.true_total_power_w(kernel, c) for c in configs]
-            ),
-            np.array(
-                [self.apu.true_performance(kernel, c) for c in configs]
-            ),
-        )
+        key = (self.apu.physics_key, characteristics_of(kernel))
+        frontier = _FRONTIER_CACHE.get(key)
+        if frontier is None:
+            _FRONTIER_MISSES.inc()
+            table = self.apu.true_table(kernel)
+            frontier = ParetoFrontier.from_arrays(
+                list(table),
+                np.array([power for power, _ in table.values()]),
+                np.array([perf for _, perf in table.values()]),
+            )
+            _FRONTIER_CACHE[key] = frontier
+            _FRONTIER_SIZE.set(len(_FRONTIER_CACHE))
+        else:
+            _FRONTIER_HITS.inc()
+        return frontier
 
     def caps_for(self, kernel) -> list[float]:
         """The evaluation's power caps for a kernel: the power levels of

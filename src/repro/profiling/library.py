@@ -33,6 +33,7 @@ import hashlib
 import numpy as np
 
 from repro.hardware.apu import Measurement, TrinityAPU
+from repro.hardware.backend import characteristics_of
 from repro.hardware.config import Configuration
 from repro.hardware.counters import synthesize_counters
 from repro.profiling.records import KernelProfile, ProfileDatabase
@@ -45,14 +46,14 @@ __all__ = ["ProfilingLibrary"]
 COUNTER_READ_OVERHEAD_S: float = 50e-6
 
 #: Process-wide memo of profiled executions.  A profile is a pure
-#: function of the machine physics (power constants, noise model), the
-#: sampling model, the library's base entropy, and the run identity
-#: (kernel uid + characteristics, configuration, repetition) — the
-#: counter-based streams exist precisely so that equal seeds reproduce
-#: equal profiles.  Repeated evaluations (warm LOOCV runs, ablation
-#: sweeps) therefore reuse measurements instead of re-integrating the
-#: sampled traces.  Bypassed when the machine has boost enabled (truth
-#: may carry thermal state).
+#: function of the machine physics (its physics key: power constants
+#: plus boost policy), the noise model, the sampling model, the
+#: library's base entropy, and the run identity (kernel uid +
+#: characteristics, configuration, repetition) — the counter-based
+#: streams exist precisely so that equal seeds reproduce equal profiles.
+#: Repeated evaluations (warm LOOCV runs, ablation sweeps) therefore
+#: reuse measurements instead of re-integrating the sampled traces.
+#: Bypassed only by runs a fault perturbed.
 _PROFILE_CACHE: dict[tuple, tuple[Measurement, float]] = {}
 
 # Hit/miss accounting for the profile memo (see docs/OBSERVABILITY.md).
@@ -141,9 +142,7 @@ class ProfilingLibrary:
         repetition = self._rep_counts.get((uid, config), 0)
         self._rep_counts[(uid, config)] = repetition + 1
 
-        chars = kernel if not hasattr(kernel, "characteristics") else (
-            kernel.characteristics
-        )
+        chars = characteristics_of(kernel)
 
         # Fault injection: the run clock advances per profile attempt
         # (failed attempts included), may raise SampleRunError, and may
@@ -157,9 +156,9 @@ class ProfilingLibrary:
         exec_config = config if fctx is None else fctx.config
 
         memo_key = None
-        if self.apu.boost is None and (fctx is None or fctx.clean):
+        if fctx is None or fctx.clean:
             memo_key = (
-                self.apu.power_constants,
+                self.apu.physics_key,
                 self.apu.noise,
                 self.sampler,
                 tuple(self._base_entropy),

@@ -18,7 +18,7 @@ materializing it:
   axis; a population is an ``(n, n_axes)`` int matrix;
 * an attached evaluation model decodes genome *columns* straight into
   ground-truth ``(rate, power)`` arrays in one vectorized pass (the
-  :mod:`repro.hardware.batch` path), so the space's cost is the number
+  machine model the simulated backends use), so the space's cost is the number
   of genomes *evaluated*, never the number of points it *contains*.
 
 Exhaustive enumeration stays available for small spaces (it is how the
@@ -35,10 +35,11 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
+from repro.hardware.backend import characteristics_of
 from repro.telemetry import counter, gauge
 
 __all__ = [
@@ -150,11 +151,6 @@ _EXACT_HITS = counter("cache.search_space.hits")
 _EXACT_MISSES = counter("cache.search_space.misses")
 _EXACT_SIZE = gauge("cache.search_space.size")
 _EXACT_LOCK = threading.Lock()
-
-
-def _characteristics(kernel):
-    chars = getattr(kernel, "characteristics", None)
-    return chars if chars is not None else kernel
 
 
 class GeneratedConfigSpace:
@@ -273,7 +269,7 @@ class GeneratedConfigSpace:
         identical to the serial path because chunks are pure row slices.
         """
         g = self.canonicalize(genomes)
-        chars = _characteristics(kernel)
+        chars = characteristics_of(kernel)
         if n_jobs > 1 and len(g) > EVAL_CHUNK_ROWS:
             chunks = [
                 g[i : i + EVAL_CHUNK_ROWS]
@@ -332,7 +328,7 @@ class GeneratedConfigSpace:
         """
         from repro.core.frontier import ParetoFrontier
 
-        chars = _characteristics(kernel)
+        chars = characteristics_of(kernel)
         memo_key = (self.key, chars)
         with _EXACT_LOCK:
             frontier = _EXACT_CACHE.get(memo_key)
@@ -357,20 +353,17 @@ class GeneratedConfigSpace:
 class _TrinityModel:
     """Batch evaluation over the simulated Trinity APU's real physics.
 
-    Decoded rows are bit-identical to
-    ``TrinityAPU.true_performance`` / ``true_total_power_w`` (boost
-    off): the batch kernels mirror the scalar models operation for
-    operation, and canonical genomes map one-to-one onto the 42 valid
+    Decoded rows are bit-identical to ``TrinityAPU.true_table`` (boost
+    off): both evaluate the machine's one vectorized model, and
+    canonical genomes map one-to-one onto the 42 valid
     :class:`~repro.hardware.config.Configuration` objects.
     """
 
     def __init__(self, constants=None) -> None:
-        from repro.hardware.power import PowerModelConstants
+        from repro.hardware.apu import TrinityAPU
 
-        self.constants = (
-            constants if constants is not None else PowerModelConstants()
-        )
-        self.key = ("trinity", self.constants)
+        self.machine = TrinityAPU(power_constants=constants)
+        self.key = ("trinity", self.machine.power_constants)
 
     def canonicalize(self, space, genomes: np.ndarray) -> np.ndarray:
         g = genomes.copy()
@@ -382,15 +375,12 @@ class _TrinityModel:
         return g
 
     def evaluate(self, chars, columns):
-        from repro.hardware.batch import batch_true_rate_power
-
-        return batch_true_rate_power(
+        return self.machine.batch_rate_power(
             chars,
             columns["device"] == 1.0,
             columns["cpu_freq_ghz"],
             columns["n_threads"],
             columns["gpu_freq_ghz"],
-            self.constants,
         )
 
     def payloads(self, space, genomes: np.ndarray) -> list:

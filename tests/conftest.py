@@ -1,5 +1,6 @@
 """Shared fixtures: representative kernels and machines."""
 
+import numpy as np
 import pytest
 
 from repro.hardware import KernelCharacteristics, NoiseModel, TrinityAPU
@@ -25,6 +26,19 @@ def make_kernel(**overrides) -> KernelCharacteristics:
     )
     base.update(overrides)
     return KernelCharacteristics(**base)
+
+
+def config_rows(configs) -> tuple[np.ndarray, ...]:
+    """Configurations as the parallel factor arrays the vectorized
+    machine models take: ``(is_gpu, cpu_freq_ghz, n_threads,
+    gpu_freq_ghz)``."""
+    configs = list(configs)
+    return (
+        np.array([c.is_gpu for c in configs]),
+        np.array([c.cpu_freq_ghz for c in configs]),
+        np.array([c.n_threads for c in configs]),
+        np.array([c.gpu_freq_ghz for c in configs]),
+    )
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ backends:
 
 * configuration enumeration is deterministic and duplicate-free;
 * ground truth is positive and finite for every (kernel, config);
-* the vectorized batch path matches the scalar path bit for bit;
+* the vectorized batch path matches the true table bit for bit;
 * the frontier built from the true table is mutually non-dominated and
   dominates the rest of the space;
 * attaching an *empty* fault plan leaves measurements bit-identical.

@@ -1,9 +1,11 @@
-"""Golden-record regression: ``run_loocv(seed=0)`` is bit-frozen.
+"""Golden-record regression: ``run_loocv(seed=0)`` is bit-frozen on
+every registered backend.
 
-The digest committed at ``tests/golden/loocv_seed0.sha256`` is the
-SHA-256 of the canonicalized record sequence (floats rendered via
-``float.hex``, so a match means every bit of every float is identical).
-Any change that perturbs the pipeline's numerical results — noise
+The digest committed at ``tests/golden/loocv_seed0.sha256`` (Trinity)
+or ``tests/golden/loocv_seed0_<backend>.sha256`` is the SHA-256 of the
+canonicalized record sequence (floats rendered via ``float.hex``, so a
+match means every bit of every float is identical).  Any change that
+perturbs the pipeline's numerical results — machine physics, noise
 stream, frontier construction, method decisions, record ordering —
 fails here instead of slipping through unnoticed.
 
@@ -11,8 +13,8 @@ To re-freeze after an *intentional* behavioural change::
 
     PYTHONPATH=src python -c "
     from repro.evaluation import records_digest, run_loocv
-    print(records_digest(run_loocv(seed=0).records))
-    " > tests/golden/loocv_seed0.sha256
+    print(records_digest(run_loocv(seed=0, backend='biglittle').records))
+    " > tests/golden/loocv_seed0_biglittle.sha256
 
 and explain the perturbation in the commit message.
 """
@@ -27,11 +29,17 @@ import pytest
 from repro.evaluation import canonical_record, record_lines, records_digest, run_loocv
 from repro.faults import FaultPlan
 
-GOLDEN_PATH = Path(__file__).parent / "golden" / "loocv_seed0.sha256"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_PATH = GOLDEN_DIR / "loocv_seed0.sha256"
+BACKEND_GOLDEN_PATHS = {
+    "trinity": GOLDEN_PATH,
+    "biglittle": GOLDEN_DIR / "loocv_seed0_biglittle.sha256",
+    "mpsoc": GOLDEN_DIR / "loocv_seed0_mpsoc.sha256",
+}
 
 
-def golden_digest() -> str:
-    return GOLDEN_PATH.read_text().strip()
+def golden_digest(backend: str = "trinity") -> str:
+    return BACKEND_GOLDEN_PATHS[backend].read_text().strip()
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +83,28 @@ class TestGoldenRecord:
     def test_empty_fault_plan_matches_golden(self) -> None:
         report = run_loocv(seed=0, fault_plan=FaultPlan(name="empty"))
         assert records_digest(report.records) == golden_digest()
+
+
+def test_every_registered_backend_has_a_golden_digest() -> None:
+    from repro.hardware.backend import backend_names
+
+    assert set(backend_names()) == set(BACKEND_GOLDEN_PATHS)
+
+
+@pytest.mark.parametrize("backend", sorted(BACKEND_GOLDEN_PATHS))
+class TestBackendGoldenRecords:
+    """The same freeze for every registered backend: the digests are the
+    guard on each backend's machine model."""
+
+    def test_golden_file_is_a_sha256(self, backend) -> None:
+        digest = golden_digest(backend)
+        assert len(digest) == 64
+        int(digest, 16)
+
+    def test_seed0_matches_golden(self, backend, seed0_records) -> None:
+        records = (
+            seed0_records
+            if backend == "trinity"
+            else run_loocv(seed=0, backend=backend).records
+        )
+        assert records_digest(records) == golden_digest(backend)

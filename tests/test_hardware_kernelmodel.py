@@ -7,7 +7,22 @@ from hypothesis import strategies as st
 
 from repro.hardware import CPU_FREQS_GHZ, GPU_FREQS_GHZ, Configuration
 from repro.hardware import kernelmodel as km
-from tests.conftest import make_kernel
+from tests.conftest import config_rows, make_kernel
+
+
+def times(k, configs):
+    """The timing model over configuration rows, as python floats."""
+    return km.time_s(k, *config_rows(configs)).tolist()
+
+
+def cpu_time(k, freq_ghz, n_threads):
+    (t,) = times(k, [Configuration.cpu(freq_ghz, n_threads)])
+    return t
+
+
+def gpu_time(k, gpu_freq_ghz, host_freq_ghz):
+    (t,) = times(k, [Configuration.gpu(gpu_freq_ghz, host_freq_ghz)])
+    return t
 
 
 def test_characteristics_range_validation():
@@ -48,11 +63,34 @@ def test_invalid_thread_counts():
         km.amdahl_speedup(0, 0.5)
     with pytest.raises(ValueError):
         km.memory_bandwidth_factor(0)
+    # Arrays are rejected when any row is below one thread.
+    with pytest.raises(ValueError):
+        km.amdahl_speedup(np.array([4, 0]), 0.5)
+    with pytest.raises(ValueError):
+        km.memory_bandwidth_factor(np.array([0, 1]))
+    with pytest.raises(ValueError):
+        km.time_s(
+            make_kernel(),
+            np.array([False]),
+            np.array([2.4]),
+            np.array([0]),
+            np.array([0.311]),
+        )
+
+
+def test_helpers_accept_arrays_elementwise():
+    n = np.arange(1, 5)
+    assert km.amdahl_speedup(n, 0.9).tolist() == [
+        km.amdahl_speedup(int(i), 0.9) for i in n
+    ]
+    assert km.memory_bandwidth_factor(n).tolist() == [
+        km.memory_bandwidth_factor(int(i)) for i in n
+    ]
 
 
 def test_cpu_time_decreases_with_frequency_for_compute_kernel():
     k = make_kernel(mem_fraction=0.05)
-    times = [km.cpu_time_s(k, f, 1) for f in CPU_FREQS_GHZ]
+    times = [cpu_time(k, f, 1) for f in CPU_FREQS_GHZ]
     assert times == sorted(times, reverse=True)
     # Nearly ideal frequency scaling.
     assert times[0] / times[-1] == pytest.approx(3.7 / 1.4, rel=0.1)
@@ -60,30 +98,30 @@ def test_cpu_time_decreases_with_frequency_for_compute_kernel():
 
 def test_memory_bound_kernel_nearly_frequency_insensitive():
     k = make_kernel(mem_fraction=0.9)
-    t_low = km.cpu_time_s(k, 1.4, 4)
-    t_high = km.cpu_time_s(k, 3.7, 4)
+    t_low = cpu_time(k, 1.4, 4)
+    t_high = cpu_time(k, 3.7, 4)
     assert t_low / t_high < 1.3  # far from the 2.64x frequency ratio
 
 
 def test_cpu_time_decreases_with_threads():
     k = make_kernel(parallel_fraction=0.95, mem_fraction=0.3)
-    times = [km.cpu_time_s(k, 2.4, n) for n in range(1, 5)]
+    times = [cpu_time(k, 2.4, n) for n in range(1, 5)]
     assert times == sorted(times, reverse=True)
 
 
 def test_serial_kernel_ignores_threads():
     k = make_kernel(parallel_fraction=0.0, mem_fraction=0.0)
-    assert km.cpu_time_s(k, 2.4, 1) == pytest.approx(km.cpu_time_s(k, 2.4, 4))
+    assert cpu_time(k, 2.4, 1) == pytest.approx(cpu_time(k, 2.4, 4))
 
 
 def test_reference_config_time_equals_work():
     k = make_kernel(mem_fraction=0.0)
-    assert km.cpu_time_s(k, 3.7, 1) == pytest.approx(k.work_s)
+    assert cpu_time(k, 3.7, 1) == pytest.approx(k.work_s)
 
 
 def test_gpu_time_decreases_with_gpu_frequency():
     k = make_kernel()
-    times = [km.gpu_time_s(k, g, 1.4) for g in GPU_FREQS_GHZ]
+    times = [gpu_time(k, g, 1.4) for g in GPU_FREQS_GHZ]
     assert times == sorted(times, reverse=True)
 
 
@@ -92,7 +130,7 @@ def test_gpu_memory_bound_flattens_frequency_scaling():
     steep = make_kernel(gpu_mem_fraction=0.05)
 
     def ratio(k):
-        return km.gpu_time_s(k, 0.311, 3.7) / km.gpu_time_s(k, 0.819, 3.7)
+        return gpu_time(k, 0.311, 3.7) / gpu_time(k, 0.819, 3.7)
 
     assert ratio(steep) > ratio(flat)
     assert ratio(steep) == pytest.approx(0.819 / 0.311, rel=0.15)
@@ -100,8 +138,8 @@ def test_gpu_memory_bound_flattens_frequency_scaling():
 
 def test_launch_overhead_scales_with_host_frequency():
     k = make_kernel(launch_overhead_s=0.5, gpu_affinity=10.0)
-    t_slow = km.gpu_time_s(k, 0.819, 1.4)
-    t_fast = km.gpu_time_s(k, 0.819, 3.7)
+    t_slow = gpu_time(k, 0.819, 1.4)
+    t_fast = gpu_time(k, 0.819, 3.7)
     assert t_slow > t_fast  # Table I: GPU rows differ by CPU frequency
     overhead_delta = 0.5 * (3.7 / 1.4) - 0.5
     assert t_slow - t_fast == pytest.approx(overhead_delta, rel=1e-9)
@@ -110,7 +148,7 @@ def test_launch_overhead_scales_with_host_frequency():
 def test_gpu_affinity_divides_device_time():
     fast = make_kernel(gpu_affinity=8.0, launch_overhead_s=0.0)
     slow = make_kernel(gpu_affinity=0.5, launch_overhead_s=0.0)
-    assert km.gpu_time_s(slow, 0.819, 3.7) / km.gpu_time_s(fast, 0.819, 3.7) == (
+    assert gpu_time(slow, 0.819, 3.7) / gpu_time(fast, 0.819, 3.7) == (
         pytest.approx(16.0)
     )
 
@@ -119,8 +157,9 @@ def test_true_time_dispatches_by_device():
     k = make_kernel()
     c_cpu = Configuration.cpu(2.4, 2)
     c_gpu = Configuration.gpu(0.649, 2.4)
-    assert km.true_time_s(k, c_cpu) == pytest.approx(km.cpu_time_s(k, 2.4, 2))
-    assert km.true_time_s(k, c_gpu) == pytest.approx(km.gpu_time_s(k, 0.649, 2.4))
+    # Mixed rows take their own device's branch, bit for bit.
+    assert times(k, [c_cpu, c_gpu]) == [cpu_time(k, 2.4, 2), gpu_time(k, 0.649, 2.4)]
+    assert cpu_time(k, 2.4, 2) != gpu_time(k, 0.649, 2.4)
 
 
 def test_gpu_busy_fraction_bounds():
@@ -140,7 +179,7 @@ def test_gpu_busy_fraction_bounds():
 )
 def test_property_cpu_time_positive_and_freq_monotone(p, beta, n):
     k = make_kernel(parallel_fraction=p, mem_fraction=beta)
-    times = [km.cpu_time_s(k, f, n) for f in CPU_FREQS_GHZ]
+    times = [cpu_time(k, f, n) for f in CPU_FREQS_GHZ]
     assert all(t > 0 for t in times)
     assert all(times[i] >= times[i + 1] - 1e-12 for i in range(len(times) - 1))
 
@@ -152,6 +191,6 @@ def test_property_cpu_time_positive_and_freq_monotone(p, beta, n):
 )
 def test_property_gpu_time_positive_and_monotone(aff, beta_g):
     k = make_kernel(gpu_affinity=aff, gpu_mem_fraction=beta_g)
-    times = [km.gpu_time_s(k, g, 2.4) for g in GPU_FREQS_GHZ]
+    times = [gpu_time(k, g, 2.4) for g in GPU_FREQS_GHZ]
     assert all(t > 0 for t in times)
     assert all(times[i] >= times[i + 1] - 1e-12 for i in range(len(times) - 1))

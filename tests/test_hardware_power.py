@@ -14,17 +14,35 @@ from repro.hardware import (
     CPU_FREQS_GHZ,
     GPU_FREQS_GHZ,
     Configuration,
+    PowerBreakdown,
     PowerModelConstants,
-    power_w,
 )
-from tests.conftest import make_kernel
+from repro.hardware.power import plane_power_w
+from tests.conftest import config_rows, make_kernel
 
 
 TYPICAL = make_kernel()
 
 
+def power_w(k, cfg, constants=None):
+    """The power model at one configuration, as a breakdown."""
+    cpu, nbgpu = plane_power_w(k, *config_rows([cfg]), constants)
+    return PowerBreakdown(cpu_plane_w=float(cpu[0]), nbgpu_plane_w=float(nbgpu[0]))
+
+
 def total(k, cfg):
     return power_w(k, cfg).total_w
+
+
+def test_rows_evaluate_independently():
+    """A whole-space call equals row-by-row calls, bit for bit."""
+    from repro.hardware import ConfigSpace
+
+    configs = list(ConfigSpace())
+    cpu, nbgpu = plane_power_w(TYPICAL, *config_rows(configs))
+    assert [power_w(TYPICAL, c) for c in configs] == [
+        PowerBreakdown(a, b) for a, b in zip(cpu.tolist(), nbgpu.tolist())
+    ]
 
 
 def test_cpu_floor_near_12_watts():

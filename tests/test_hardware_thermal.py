@@ -139,3 +139,26 @@ class TestBoostOnMachine:
         m_base = base.run(k, top)
         m_boost = boosted.run(k, top)
         assert m_boost.time_s < m_base.time_s
+
+    def test_memos_key_on_boost(self):
+        """Boosted truth is memoized under the machine's physics key,
+        which carries the policy: a boosted and an un-boosted machine
+        with equal constants never share an Oracle frontier or a
+        profile, whichever one is asked first."""
+        from repro.methods.oracle import Oracle
+        from repro.profiling import ProfilingLibrary
+
+        base, boosted = self._apus()
+        k = make_kernel(mem_fraction=0.1, activity=0.6, work_s=0.4321)
+        top = Configuration.cpu(3.7, 4)
+
+        f_base = Oracle(base).true_frontier(k)
+        f_boost = Oracle(boosted).true_frontier(k)
+        assert list(f_boost.powers) != list(f_base.powers)
+        assert max(f_boost.performances) > max(f_base.performances)
+        assert Oracle(boosted).true_frontier(k) is f_boost  # memoized
+
+        p_base = ProfilingLibrary(base, seed=0).profile(k, top, kernel_uid="memo")
+        p_boost = ProfilingLibrary(boosted, seed=0).profile(k, top, kernel_uid="memo")
+        assert p_boost.measurement.time_s < p_base.measurement.time_s
+        assert p_boost.measurement.total_power_w > p_base.measurement.total_power_w

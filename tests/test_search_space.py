@@ -1,19 +1,13 @@
-"""Tests for repro.search.space and the hardware batch path."""
+"""Tests for repro.search.space and the vectorized machine model."""
 
 import numpy as np
 import pytest
 
 from repro import telemetry
 from repro.hardware import NoiseModel, TrinityAPU
-from repro.hardware.batch import (
-    batch_cpu_time_s,
-    batch_gpu_time_s,
-    batch_total_power_w,
-    batch_true_rate_power,
-)
-from repro.hardware.config import Configuration, Device
-from repro.hardware.kernelmodel import cpu_time_s, gpu_time_s
-from repro.hardware.power import power_w
+from repro.hardware.config import Configuration
+from repro.hardware.kernelmodel import time_s
+from repro.hardware.power import plane_power_w
 from repro.methods.oracle import Oracle
 from repro.search.space import (
     ENUMERATION_LIMIT,
@@ -25,7 +19,7 @@ from repro.search.space import (
 )
 from repro.workloads import build_suite
 
-from .conftest import make_kernel
+from .conftest import config_rows, make_kernel
 
 
 @pytest.fixture(scope="module")
@@ -88,33 +82,26 @@ class TestBatchBitIdentity:
             gpu_mem_fraction=float(rng.uniform(0.0, 0.9)),
             dram_intensity=float(rng.uniform(0.0, 1.0)),
         )
+        apu = TrinityAPU()
         cfgs = self._all_configs()
-        is_gpu = np.array([c.device is Device.GPU for c in cfgs])
-        f = np.array([c.cpu_freq_ghz for c in cfgs])
-        n = np.array([float(c.n_threads) for c in cfgs])
-        g = np.array([c.gpu_freq_ghz for c in cfgs])
-        rates, powers = batch_true_rate_power(k, is_gpu, f, n, g)
+        # Float thread counts, as decoded genome columns carry them.
+        is_gpu, f, n, g = config_rows(cfgs)
+        rates, powers = apu.batch_rate_power(k, is_gpu, f, n.astype(float), g)
         for i, c in enumerate(cfgs):
-            t = (
-                gpu_time_s(k, c.gpu_freq_ghz, c.cpu_freq_ghz)
-                if c.device is Device.GPU
-                else cpu_time_s(k, c.cpu_freq_ghz, c.n_threads)
-            )
-            assert rates[i] == 1.0 / t  # bit-identical, not approx
-            assert powers[i] == power_w(k, c).total_w
+            assert rates[i] == 1.0 / apu.true_time_s(k, c)  # bit-identical
+            assert powers[i] == apu.true_total_power_w(k, c)
 
     def test_component_kernels_match(self):
         k = make_kernel()
-        f = np.array([1.4, 3.7])
-        n = np.array([1.0, 4.0])
-        g = np.array([0.311, 0.819])
-        assert batch_cpu_time_s(k, f, n)[0] == cpu_time_s(k, 1.4, 1)
-        assert batch_gpu_time_s(k, g, f)[1] == gpu_time_s(k, 0.819, 3.7)
-        got = batch_total_power_w(
-            k, np.array([False, True]), f, n, g
-        )
-        assert got[0] == power_w(k, Configuration.cpu(1.4, 1)).total_w
-        assert got[1] == power_w(k, Configuration.gpu(0.819, 3.7)).total_w
+        apu = TrinityAPU()
+        cfgs = [Configuration.cpu(1.4, 1), Configuration.gpu(0.819, 3.7)]
+        rows = config_rows(cfgs)
+        t = time_s(k, *rows)
+        cpu, nbgpu = plane_power_w(k, *rows)
+        for i, c in enumerate(cfgs):
+            assert t[i] == apu.true_time_s(k, c)
+            pb = apu.true_power(k, c)
+            assert (cpu[i], nbgpu[i]) == (pb.cpu_plane_w, pb.nbgpu_plane_w)
 
 
 # ---------------------------------------------------------------------------
