@@ -321,8 +321,9 @@ def _score(
 ) -> None:
     """Score one kernel's prediction against ground truth and oracle."""
     configs = prediction.config_tuple
-    true_pw = np.array([apu.true_total_power_w(kernel, c) for c in configs])
-    true_pf = np.array([apu.true_performance(kernel, c) for c in configs])
+    truth = apu.true_table(kernel)
+    true_pw = np.array([truth[c][0] for c in configs])
+    true_pf = np.array([truth[c][1] for c in configs])
     acc.power_err.extend(
         np.abs(prediction.power_array - true_pw) / true_pw
     )
@@ -332,7 +333,6 @@ def _score(
     acc.taus.append(
         kendall_tau(prediction.performance_array, true_pf, variant="b")
     )
-    truth = {c: (float(p), float(f)) for c, p, f in zip(configs, true_pw, true_pf)}
     acc.margins.append(risk_margin)
     for cap in caps:
         decision = scheduler.select(prediction, cap, risk_margin=risk_margin)

@@ -174,9 +174,27 @@ class RunContext:
         """
         if not self._sensor_events:
             return measurement
-        cpu_w = measurement.cpu_plane_w
-        nbgpu_w = measurement.nbgpu_plane_w
+        cpu_w, nbgpu_w = self.planes(
+            measurement.cpu_plane_w, measurement.nbgpu_plane_w
+        )
         counters: Mapping[str, float] = measurement.counters
+        for ev in self._sensor_events:
+            if ev.kind == "counter_nan":
+                counters = {name: math.nan for name in counters}
+            elif ev.kind == "counter_corrupt":
+                counters = {
+                    name: value * ev.magnitude for name, value in counters.items()
+                }
+        return replace(
+            measurement,
+            cpu_plane_w=cpu_w,
+            nbgpu_plane_w=nbgpu_w,
+            counters=counters,
+        )
+
+    def planes(self, cpu_w: float, nbgpu_w: float) -> tuple[float, float]:
+        """The two plane-power readings under this run's power faults
+        (dropout reads NaN, bias scales), in plan order."""
         for ev in self._sensor_events:
             on_cpu_plane = ev.device in (None, "cpu")
             on_gpu_plane = ev.device in (None, "gpu")
@@ -190,18 +208,7 @@ class RunContext:
                     cpu_w *= ev.magnitude
                 if on_gpu_plane:
                     nbgpu_w *= ev.magnitude
-            elif ev.kind == "counter_nan":
-                counters = {name: math.nan for name in counters}
-            elif ev.kind == "counter_corrupt":
-                counters = {
-                    name: value * ev.magnitude for name, value in counters.items()
-                }
-        return replace(
-            measurement,
-            cpu_plane_w=cpu_w,
-            nbgpu_plane_w=nbgpu_w,
-            counters=counters,
-        )
+        return cpu_w, nbgpu_w
 
 
 class FaultInjector:

@@ -41,13 +41,15 @@ from __future__ import annotations
 
 import abc
 import importlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Callable, ClassVar, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from repro.hardware import pstates
 from repro.hardware.config import ConfigSpace, Configuration, Device
+from repro.hardware.counters import COUNTER_NAMES, synthesize_counters
 from repro.hardware.kernelmodel import KernelCharacteristics
 from repro.hardware.noise import NoiseModel
 from repro.hardware.power import PowerBreakdown
@@ -614,25 +616,72 @@ class HardwareBackend(abc.ABC):
 
 
 class _Truth(NamedTuple):
-    """One kernel's ground truth over a machine's enumerated space,
-    keyed by configuration."""
+    """One kernel's ground truth over a machine's enumerated space: time
+    and plane powers as lists in config-space order, and the
+    :meth:`~HardwareBackend.true_table` view keyed by configuration."""
 
-    time_s: dict
-    power: dict
+    times: list
+    cpu_w: list
+    nbgpu_w: list
     #: ``{config: (total power W, performance)}`` — :meth:`true_table`.
     table: dict
+    #: Per-index measurement templates, each built on first use.
+    templates: list
 
 
-# Process-wide memos, keyed first by a machine's physics identity (its
-# frozen constants record plus boost policy; each backend has its own
-# constants type, so backends never collide) and then by the kernel's
-# characteristics (truth) or the (characteristics, config) pair
-# (measurement templates).  The evaluation harness builds fresh machines
+class Ladder(NamedTuple):
+    """P-state neighbours of every configuration of a space, as indices
+    into its enumeration order (``-1``: no such neighbour).
+
+    ``down[i]`` is the next lower P-state of the running block — the
+    secondary block's ladder first, then the host (primary-domain)
+    frequency once it is at its floor; ``up_cpu[i]`` the next higher
+    primary-domain frequency.  Thread counts and devices never change.
+    """
+
+    down: tuple[int, ...]
+    up_cpu: tuple[int, ...]
+
+
+_LADDERS: dict = {}
+
+
+def ladder_of(space) -> Ladder:
+    """The :class:`Ladder` of a configuration space, computed once per
+    descriptor (every space of one descriptor enumerates alike)."""
+    desc = space.descriptor
+    ladder = _LADDERS.get(desc)
+    if ladder is not None:
+        return ladder
+    configs = tuple(space)
+    index = {cfg: i for i, cfg in enumerate(configs)}
+
+    def shift(cfg, block: BlockDescriptor, attr: str, step: int) -> int:
+        j = block.index(getattr(cfg, attr)) + step
+        if not 0 <= j < len(block.freqs_ghz):
+            return -1
+        return index.get(replace(cfg, **{attr: block.freqs_ghz[j]}), -1)
+
+    primary, secondary = desc.primary, desc.secondary
+    down = []
+    for cfg in configs:
+        nxt = shift(cfg, secondary, "gpu_freq_ghz", -1) if cfg.is_gpu else -1
+        down.append(nxt if nxt >= 0 else shift(cfg, primary, "cpu_freq_ghz", -1))
+    up_cpu = tuple(shift(cfg, primary, "cpu_freq_ghz", 1) for cfg in configs)
+    return _LADDERS.setdefault(desc, Ladder(tuple(down), up_cpu))
+
+
+# Process-wide memo of truths (each holding its kernel's measurement
+# templates), keyed first by a machine's physics identity (its frozen
+# constants record plus boost policy; each backend has its own constants
+# type, so backends never collide) and then by the kernel's
+# characteristics.  The evaluation harness builds fresh machines
 # constantly — fresh noise streams, same physics — and every one of them
 # reads the same truths.  Keyspace is bounded: kernels-in-process x the
-# space size.
+# space size.  Templates built so far, per physics identity, size the
+# template gauge.
 _TRUTHS: dict[tuple, dict[KernelCharacteristics, _Truth]] = {}
-_TEMPLATES: dict[tuple, dict[tuple, tuple]] = {}
+_TEMPLATES_BUILT: dict[tuple, int] = {}
 
 # Hit/miss accounting for the two memo families (docs/OBSERVABILITY.md).
 # Instruments are fetched once here; their .inc() is a flag check when
@@ -677,7 +726,6 @@ class AnalyticalBackend(HardwareBackend):
         self._rng = np.random.default_rng(seed)
         self.physics_key = (constants, self.boost)
         self._truths = _TRUTHS.setdefault(self.physics_key, {})
-        self._templates = _TEMPLATES.setdefault(self.physics_key, {})
         # Lognormal parameters of each noise axis, exactly as
         # NoiseModel._scale computes them; None marks an axis that draws
         # nothing (measurements equal truth there).
@@ -689,6 +737,15 @@ class AnalyticalBackend(HardwareBackend):
                 self.noise.counter_rel,
             )
         )
+        # Standard normals one measured run consumes, in draw order
+        # (time, both planes, the counter block), and where the plane
+        # pair starts among them.
+        self._run_normals = (
+            (self._ln_time is not None)
+            + 2 * (self._ln_power is not None)
+            + len(COUNTER_NAMES) * (self._ln_counter is not None)
+        )
+        self._plane_normals_at = int(self._ln_time is not None)
 
     # -- physics --------------------------------------------------------------
 
@@ -720,24 +777,22 @@ class AnalyticalBackend(HardwareBackend):
             np.array([c.gpu_freq_ghz for c in configs]),
         )
         truth = _Truth(
-            time_s=dict(zip(configs, t.tolist())),
-            power={
-                c: PowerBreakdown(cpu_plane_w=a, nbgpu_plane_w=b)
-                for c, a, b in zip(configs, cpu_w.tolist(), nbgpu_w.tolist())
-            },
+            times=t.tolist(),
+            cpu_w=cpu_w.tolist(),
+            nbgpu_w=nbgpu_w.tolist(),
             table=dict(
                 zip(configs, zip((cpu_w + nbgpu_w).tolist(), (1.0 / t).tolist()))
             ),
+            templates=[None] * len(configs),
         )
         self._truths[chars] = truth
         _TT_SIZE.set(len(self._truths))
         return truth
 
-    @staticmethod
-    def _at(values: dict, cfg):
+    def _index_of(self, cfg) -> int:
         try:
-            return values[cfg]
-        except KeyError:
+            return self.config_space.index(cfg)
+        except ValueError:
             raise ValueError(
                 f"{cfg} is not a valid configuration for this machine"
             ) from None
@@ -745,10 +800,14 @@ class AnalyticalBackend(HardwareBackend):
     # -- ground truth ---------------------------------------------------------
 
     def true_time_s(self, kernel: object, cfg) -> float:
-        return self._at(self._truth(characteristics_of(kernel)).time_s, cfg)
+        return self._truth(characteristics_of(kernel)).times[self._index_of(cfg)]
 
     def true_power(self, kernel: object, cfg) -> PowerBreakdown:
-        return self._at(self._truth(characteristics_of(kernel)).power, cfg)
+        truth = self._truth(characteristics_of(kernel))
+        i = self._index_of(cfg)
+        return PowerBreakdown(
+            cpu_plane_w=truth.cpu_w[i], nbgpu_plane_w=truth.nbgpu_w[i]
+        )
 
     def true_table(self, kernel: object) -> dict:
         """Per-configuration ground truth ``{config: (total power W,
@@ -797,56 +856,76 @@ class AnalyticalBackend(HardwareBackend):
         return ctx.apply(self._run_clean(kernel, ctx.config, rng))
 
     def _run_clean(self, kernel: object, cfg, rng) -> Measurement:
-        """The fault-free measurement path: the pair's template times
-        one lognormal draw per nonzero noise axis — time, then both
-        power planes in one size-2 draw (which consumes the stream
-        exactly like two scalar draws), then the counter block."""
-        chars = characteristics_of(kernel)
-        tpl = self._templates.get((chars, cfg))
-        if tpl is None:
-            _TPL_MISSES.inc()
-            tpl = self._template(chars, cfg)
-        else:
-            _TPL_HITS.inc()
-        names, t, cpu_w, nbgpu_w, counter_vals = tpl
+        """The fault-free measurement path: the pair's template under the
+        run's :attr:`_run_normals` standard normals, drawn in one call."""
+        tpl = self._template_for(characteristics_of(kernel), cfg)
         r = rng if rng is not None else self._rng
+        z = r.standard_normal(self._run_normals) if self._run_normals else None
+        return self._measured(tpl, cfg, z, 0)
+
+    def _measured(self, tpl: tuple, cfg, z: np.ndarray, at: int) -> Measurement:
+        """The fault-free measurement at ``cfg`` (whose template is
+        ``tpl``) under the :attr:`_run_normals` standard normals from
+        ``z[at]`` on, in draw order: time, both planes, the counter
+        block.  :meth:`run` draws them from its stream; the frequency
+        limiter rebuilds a settled step from the normals it kept.  Each
+        factor is ``math.exp(mu + sigma * z)``, bit for bit
+        ``Generator.lognormal(mu, sigma)`` (the C library's scalar
+        ``exp``; ``np.exp`` over arrays may differ in the last bit)."""
+        names, t, cpu_w, nbgpu_w, counter_vals = tpl
+        values = counter_vals.tolist()
         if self._ln_time is not None:
-            t = float(t * r.lognormal(*self._ln_time))
+            mu, sigma = self._ln_time
+            t = t * math.exp(mu + sigma * z.item(at))
+            at += 1
         if self._ln_power is not None:
-            pw = r.lognormal(*self._ln_power, size=2)
-            cpu_w = float(cpu_w * pw[0])
-            nbgpu_w = float(nbgpu_w * pw[1])
+            mu, sigma = self._ln_power
+            cpu_w = cpu_w * math.exp(mu + sigma * z.item(at))
+            nbgpu_w = nbgpu_w * math.exp(mu + sigma * z.item(at + 1))
+            at += 2
         if self._ln_counter is not None:
-            counter_vals = counter_vals * r.lognormal(
-                *self._ln_counter, size=counter_vals.size
-            )
+            mu, sigma = self._ln_counter
+            values = [
+                v * math.exp(mu + sigma * x)
+                for v, x in zip(values, z[at : at + len(values)].tolist())
+            ]
         return Measurement(
             config=cfg,
             time_s=t,
             cpu_plane_w=cpu_w,
             nbgpu_plane_w=nbgpu_w,
-            counters=dict(zip(names, counter_vals.tolist())),
+            counters=dict(zip(names, values)),
         )
 
-    def _template(self, chars: KernelCharacteristics, cfg) -> tuple:
-        """The fused noise-free reading of one pair: counter names, true
-        time and plane powers, and the true counter values."""
-        from repro.hardware.counters import synthesize_counters
+    def _template_for(self, chars: KernelCharacteristics, cfg) -> tuple:
+        """The memoized template of one (kernel, configuration) pair."""
+        return self._template_at(chars, self._truth(chars), self._index_of(cfg))
 
-        truth = self._truth(chars)
-        pb = self._at(truth.power, cfg)
-        counters = synthesize_counters(chars, cfg)
+    def _template_at(
+        self, chars: KernelCharacteristics, truth: _Truth, i: int
+    ) -> tuple:
+        """The fused noise-free reading of ``chars`` at config index
+        ``i`` (counted hit or miss): counter names, true time and plane
+        powers, and the true counter values."""
+        tpl = truth.templates[i]
+        if tpl is not None:
+            _TPL_HITS.inc()
+            return tpl
+        _TPL_MISSES.inc()
+        counters = synthesize_counters(chars, self.config_space[i], self.descriptor)
         counter_vals = np.array(list(counters.values()))
         counter_vals.setflags(write=False)
-        tpl = (
+        tpl = truth.templates[i] = (
             tuple(counters),
-            truth.time_s[cfg],
-            pb.cpu_plane_w,
-            pb.nbgpu_plane_w,
+            truth.times[i],
+            truth.cpu_w[i],
+            truth.nbgpu_w[i],
             counter_vals,
         )
-        self._templates[(chars, cfg)] = tpl
-        _TPL_SIZE.set(len(self._templates))
+        built = _TEMPLATES_BUILT[self.physics_key] = (
+            _TEMPLATES_BUILT.get(self.physics_key, 0) + 1
+        )
+        _TPL_SIZE.set(built)
         return tpl
 
 

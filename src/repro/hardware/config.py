@@ -108,8 +108,8 @@ class Configuration:
     # -- convenient constructors -------------------------------------------
 
     # Instances are immutable, so the factories memoize: the valid space
-    # has only 42 points and hot paths (the frequency limiter, scheduler
-    # fallbacks) rebuild the same configurations constantly.
+    # has only 42 points and hot paths (fault P-state substitution, the
+    # search neighbourhoods) rebuild the same configurations constantly.
 
     @staticmethod
     @lru_cache(maxsize=None)

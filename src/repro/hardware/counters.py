@@ -47,7 +47,9 @@ COUNTER_NAMES: tuple[str, ...] = (
 )
 
 
-def synthesize_counters(k: KernelCharacteristics, cfg) -> dict[str, float]:
+def synthesize_counters(
+    k: KernelCharacteristics, cfg, descriptor=None
+) -> dict[str, float]:
     """Ground-truth normalized counter metrics for ``k`` on ``cfg``.
 
     Returns a dict keyed by :data:`COUNTER_NAMES`.  All values are
@@ -58,15 +60,21 @@ def synthesize_counters(k: KernelCharacteristics, cfg) -> dict[str, float]:
     normalize to the primary block's ladder maxima, which for Trinity
     :class:`Configuration`\\ s are exactly the historical
     ``pstates.CPU_MAX_FREQ_GHZ`` / ``pstates.N_CORES`` constants, so the
-    Trinity values are bit-identical to the pre-backend code.
+    Trinity values are bit-identical to the pre-backend code.  Other
+    configurations normalize to ``descriptor`` — the owning machine's,
+    which a backend passes itself (an unregistered instance such as a
+    16 nm MPSoC has no registry entry); by default the registry's
+    descriptor of ``cfg.arch``.
     """
     if isinstance(cfg, Configuration):
         max_freq_ghz = pstates.CPU_MAX_FREQ_GHZ
         max_units = pstates.N_CORES
     else:
-        from repro.hardware.backend import descriptor_of_config
+        if descriptor is None:
+            from repro.hardware.backend import descriptor_of_config
 
-        primary = descriptor_of_config(cfg).primary
+            descriptor = descriptor_of_config(cfg)
+        primary = descriptor.primary
         max_freq_ghz = primary.max_freq_ghz
         max_units = primary.max_threads
     if cfg.device is Device.CPU:

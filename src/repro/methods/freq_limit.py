@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hardware.apu import TrinityAPU
-from repro.hardware.rapl import FrequencyLimiter
+from repro.hardware.rapl import FrequencyLimiter, NormalStream
 from repro.methods.base import MethodDecision, PowerLimitMethod
 
 __all__ = ["CpuFrequencyLimiting", "GpuFrequencyLimiting"]
@@ -35,12 +35,12 @@ class CpuFrequencyLimiting(PowerLimitMethod):
 
     def __init__(self, apu: TrinityAPU, *, seed: int | np.random.SeedSequence = 0) -> None:
         self.limiter = FrequencyLimiter(apu)
-        self._rng = np.random.default_rng(seed)
+        self._noise = NormalStream(np.random.default_rng(seed))
 
     def decide(self, kernel, power_cap_w: float) -> MethodDecision:
         """All cores on, CPU P-state limited to the cap."""
         result = self.limiter.limit_cpu_all_cores(
-            kernel, power_cap_w, rng=self._rng
+            kernel, power_cap_w, rng=self._noise
         )
         return MethodDecision(
             config=result.final_config, online_runs=len(result.trace)
@@ -54,12 +54,12 @@ class GpuFrequencyLimiting(PowerLimitMethod):
 
     def __init__(self, apu: TrinityAPU, *, seed: int | np.random.SeedSequence = 0) -> None:
         self.limiter = FrequencyLimiter(apu)
-        self._rng = np.random.default_rng(seed)
+        self._noise = NormalStream(np.random.default_rng(seed))
 
     def decide(self, kernel, power_cap_w: float) -> MethodDecision:
         """GPU maxed then limited; host CPU raised into headroom."""
         result = self.limiter.limit_gpu_with_headroom(
-            kernel, power_cap_w, rng=self._rng
+            kernel, power_cap_w, rng=self._noise
         )
         return MethodDecision(
             config=result.final_config, online_runs=len(result.trace)

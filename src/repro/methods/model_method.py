@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.model import AdaptiveModel
 from repro.core.predictor import KernelPrediction, OnlinePredictor
 from repro.core.scheduler import Scheduler
-from repro.hardware.rapl import FrequencyLimiter
+from repro.hardware.rapl import FrequencyLimiter, NormalStream
 from repro.methods.base import MethodDecision, PowerLimitMethod
 from repro.profiling.library import ProfilingLibrary
 
@@ -111,7 +111,7 @@ class ModelPlusFL(PowerLimitMethod):
     ) -> None:
         self._model_method = ModelMethod(model, library, scheduler=scheduler)
         self.limiter = FrequencyLimiter(library.apu)
-        self._rng = np.random.default_rng(seed)
+        self._noise = NormalStream(np.random.default_rng(seed))
 
     def prepare(self, kernel) -> None:
         """Run/caches the underlying model method's sample iterations."""
@@ -120,7 +120,7 @@ class ModelPlusFL(PowerLimitMethod):
     def decide(self, kernel, power_cap_w: float) -> MethodDecision:
         """Model selection refined by the frequency limiter."""
         start = self._model_method.decide(kernel, power_cap_w).config
-        result = self.limiter.limit(kernel, start, power_cap_w, rng=self._rng)
+        result = self.limiter.limit(kernel, start, power_cap_w, rng=self._noise)
         return MethodDecision(
             config=result.final_config,
             online_runs=2 + len(result.trace),
@@ -133,7 +133,7 @@ class ModelPlusFL(PowerLimitMethod):
         starts = self._model_method.decide_many(kernel, power_caps_w)
         decisions = []
         for cap, start in zip(power_caps_w, starts):
-            result = self.limiter.limit(kernel, start.config, cap, rng=self._rng)
+            result = self.limiter.limit(kernel, start.config, cap, rng=self._noise)
             decisions.append(
                 MethodDecision(
                     config=result.final_config,

@@ -16,12 +16,15 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hardware.backend import characteristics_of, create_backend
 from repro.hardware.biglittle import HMPConstants, migration_cost_s
+from repro.hardware.counters import synthesize_counters
 from repro.hardware.mpsoc import TECH_NODES_NM, MPSoC, dvfs_bounds
+from repro.hardware.noise import NoiseModel
 from repro.workloads import build_suite
 
 BACKENDS = ("trinity", "biglittle", "mpsoc")
@@ -150,3 +153,17 @@ def test_migration_cost_scales_with_launch_overhead(kernel, launch):
     heavier = replace(base, launch_overhead_s=launch + 0.01)
     c = HMPConstants()
     assert migration_cost_s(heavier, c) >= migration_cost_s(base, c)
+
+
+@pytest.mark.parametrize("nm", TECH_NODES_NM)
+def test_every_node_measures_with_its_own_descriptor(nm):
+    """A measured run works at every technology node — including the
+    nodes whose descriptor has no registry entry — and its counters
+    normalize to that node's own ladders."""
+    machine = MPSoC(tech_nm=nm, seed=0, noise=NoiseModel.exact())
+    chars = characteristics_of(_SUITE[0])
+    for cfg in machine.descriptor.sample_configs():
+        m = machine.run(chars, cfg)
+        assert m.config == cfg
+        assert m.total_power_w == machine.true_total_power_w(chars, cfg)
+        assert m.counters == synthesize_counters(chars, cfg, machine.descriptor)

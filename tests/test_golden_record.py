@@ -9,6 +9,12 @@ perturbs the pipeline's numerical results — machine physics, noise
 stream, frontier construction, method decisions, record ordering —
 fails here instead of slipping through unnoticed.
 
+The same freeze covers the fault path — seed-0 LOOCV under each
+committed plan of ``tests/fault_plans/``
+(``loocv_seed0_fault_<plan>.sha256``) — and the ``trinity → biglittle``
+transfer report (``transfer_trinity_biglittle_seed0.sha256``: the
+SHA-256 of its ``to_dict()`` as sorted-key JSON).
+
 To re-freeze after an *intentional* behavioural change::
 
     PYTHONPATH=src python -c "
@@ -21,15 +27,19 @@ and explain the perturbation in the commit message.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.evaluation import canonical_record, record_lines, records_digest, run_loocv
+from repro.evaluation.transfer import run_transfer
 from repro.faults import FaultPlan
+from repro.profiling.store import CharacterizationStore
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+PLAN_DIR = Path(__file__).parent / "fault_plans"
 GOLDEN_PATH = GOLDEN_DIR / "loocv_seed0.sha256"
 BACKEND_GOLDEN_PATHS = {
     "trinity": GOLDEN_PATH,
@@ -108,3 +118,22 @@ class TestBackendGoldenRecords:
             else run_loocv(seed=0, backend=backend).records
         )
         assert records_digest(records) == golden_digest(backend)
+
+
+@pytest.mark.parametrize("plan", ["sensor_dropout", "stuck_pstate", "mixed_chaos"])
+def test_fault_plan_seed0_matches_golden(plan) -> None:
+    """Seed-0 LOOCV under a committed fault plan, on a fresh store."""
+    report = run_loocv(
+        seed=0,
+        fault_plan=FaultPlan.from_file(PLAN_DIR / f"{plan}.json"),
+        store=CharacterizationStore(seed=0),
+    )
+    golden = (GOLDEN_DIR / f"loocv_seed0_fault_{plan}.sha256").read_text().strip()
+    assert records_digest(report.records) == golden
+
+
+def test_transfer_seed0_matches_golden() -> None:
+    report = run_transfer("trinity", "biglittle", seed=0)
+    payload = json.dumps(report.to_dict(), sort_keys=True).encode()
+    golden = (GOLDEN_DIR / "transfer_trinity_biglittle_seed0.sha256").read_text()
+    assert hashlib.sha256(payload).hexdigest() == golden.strip()
